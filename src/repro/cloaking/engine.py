@@ -1,17 +1,21 @@
 """The end-to-end two-phase cloaking engine (paper Fig. 3).
 
-A request from a host user flows:
+A request from a host user flows through five stages, one code path
+each:
 
-1. If the host's cluster already has a cloaked region, reuse it (Fig. 3's
-   shortcut) — zero cost.
+1. Lookup — if the host's cluster already has a cloaked region (or the
+   host holds a proactively shared slot), reuse it: Fig. 3's shortcut,
+   zero cost.
 2. Phase 1 — k-clustering, either at the centralized anonymizer or
    distributedly at the host (both phase-1 services share the interface
    ``request(host) -> ClusterResult``).
-3. Phase 2 — secure bounding among the cluster's members produces the
-   region; it is cached for the whole cluster (reciprocity: the region is
-   *theirs*, not the host's).
-4. The region goes into the service request; the cost of that request is
-   the server layer's business (:mod:`repro.server.costs`).
+3. Phase 2 — secure bounding among the cluster's members.
+4. Granularity — the minimum-area rule grows the region if needed.
+5. Publish — the region gets its id and is cached for the whole cluster
+   (reciprocity: the region is *theirs*, not the host's).
+
+The region then goes into the service request; the cost of that request
+is the server layer's business (:mod:`repro.server.costs`).
 
 The engine owns the simulation's god view (the dataset) only to *play*
 the users during secure bounding — the clustering services never see a
@@ -21,6 +25,7 @@ coordinate, and the bounding protocol reveals only yes/no answers.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Literal, Optional, Protocol, Sequence
 
@@ -45,11 +50,6 @@ from repro.graph.cluster_tree import ClusterTree
 from repro.graph.incremental import ChurnPatch, IncrementalWPG
 from repro.graph.io import graph_from_arrays, graph_to_arrays
 from repro.graph.wpg import WeightedProximityGraph
-from repro.network.failures import FailurePlan
-from repro.network.ledger import export_ledgers
-from repro.network.node import populate_network
-from repro.network.reliability import ProtocolAbort, ReliabilityPolicy, resolve
-from repro.network.simulator import PeerNetwork
 from repro.obs import trace as _trace
 from repro.spatial.grid import GridIndex
 from repro.tuning.plan import DeltaPlan, build_plan
@@ -65,6 +65,38 @@ _AREA_BUCKETS = tuple(4.0**exp for exp in range(-9, 1))
 
 #: Churn dirty-set-size histogram buckets: powers of 4 up to 64k users.
 _DIRTY_BUCKETS = tuple(4.0**exp for exp in range(0, 9))
+
+
+def _prefixed(prefix: str, arrays: dict) -> dict[str, np.ndarray]:
+    """``arrays`` keyed under ``prefix`` (one snapshot section)."""
+    return {prefix + key: value for key, value in arrays.items()}
+
+
+def _unprefixed(prefix: str, arrays: dict) -> dict[str, np.ndarray]:
+    """The snapshot section stored under ``prefix``, keyed without it."""
+    return {
+        key[len(prefix):]: value
+        for key, value in arrays.items()
+        if key.startswith(prefix)
+    }
+
+
+def _rect_hex(rect: Rect) -> list[str]:
+    """A rect as bit-exact float hex strings (snapshot meta form)."""
+    return [r.hex() for r in (rect.x_min, rect.x_max, rect.y_min, rect.y_max)]
+
+
+def _rect_from_hex(hexes: list[str]) -> Rect:
+    return Rect(*(float.fromhex(h) for h in hexes))
+
+
+#: Snapshot names of the stock phase-1 services :meth:`CloakingEngine.restore`
+#: rebuilds; the snapshot's ``clustering`` meta is derived from this.
+_FLAVORS = {
+    DistributedClustering: "distributed",
+    CentralizedAnonymizer: "centralized",
+    TreeClustering: "tree",
+}
 
 #: Builds the per-direction increment policy for a cluster of a given size;
 #: ``None`` selects the OPT baseline (exact bounding box, locations exposed).
@@ -121,6 +153,12 @@ class CloakingResult:
 class CloakingEngine:
     """Serves cloaking requests over a static population.
 
+    Every request runs the Fig. 3 workflow as five stages, one code path
+    each: :meth:`_lookup` (cache and shared slots), phase 1
+    (``self._clustering.request``), :meth:`_bound` (secure bounding),
+    :meth:`_enforce_granularity` (minimum area) and :meth:`_publish`
+    (region id, cache, shared slots).
+
     Parameters
     ----------
     dataset:
@@ -148,24 +186,15 @@ class CloakingEngine:
         (:class:`~repro.clustering.tree.TreeClustering`): the closure
         reading of Algorithm 2 resolved on a persistent bottleneck
         cluster tree, maintained incrementally under :meth:`apply_moves`.
-    reliability:
-        The fault-tolerance knob.  ``None`` or a disabled policy (the
-        default) keeps the analytic request path bit-identical to the
-        failure-oblivious engine.  An *enabled* policy runs every
-        request message-level over an internal peer network with
-        retries, idempotent redelivery, crash eviction and graceful
-        degradation — unrecoverable failures surface as a typed clean
-        :class:`~repro.network.reliability.ProtocolAbort`.  Requires the
-        distributed mode with a progressive policy preset.
-    failure_plan:
-        Failure injection for the internal network; only meaningful (and
-        only accepted) together with an enabled ``reliability`` policy.
     tuning:
         The online adaptive-tuning policy (:mod:`repro.tuning`): opt-in
         proactive region sharing, per-density-cell granularity, and
         oracle-gated k-relaxation.  ``None`` (or the default policy)
-        keeps the engine bit-identical to the untuned baseline.  Not
-        supported together with an enabled ``reliability`` policy.
+        keeps the engine bit-identical to the untuned baseline.
+
+    The fault-tolerant message-level runtime is
+    :class:`~repro.cloaking.p2p_engine.P2PCloakingSession`, which takes
+    the reliability policy and failure plan itself.
     """
 
     def __init__(
@@ -177,8 +206,6 @@ class CloakingEngine:
         policy: str | PolicyBuilder = "secure",
         min_area: float = 0.0,
         clustering: Optional[ClusteringService | str] = None,
-        reliability: Optional[ReliabilityPolicy] = None,
-        failure_plan: Optional[FailurePlan] = None,
         tuning: Optional[TuningPolicy] = None,
     ) -> None:
         if len(dataset) != graph.vertex_count:
@@ -213,32 +240,7 @@ class CloakingEngine:
         self._store: "PersistentStore | None" = None
         self._journal_seq = 0
         self._replaying = False
-        self._devices = None
-        self._reliable_session = self._build_reliable_session(
-            mode, policy, clustering, resolve(reliability), failure_plan
-        )
         self._clustering: ClusteringService
-        if self._reliable_session is not None and self._tuning.enabled():
-            raise ConfigurationError(
-                "tuning is not supported together with an enabled "
-                "ReliabilityPolicy: the message-level session owns its "
-                "own request path"
-            )
-        if self._reliable_session is not None:
-            # The session's protocol satisfies the registry surface the
-            # batch fast path needs; requests delegate wholesale.
-            self._clustering_kind = "reliable"
-            self._clustering = self._reliable_session._clustering  # type: ignore[assignment]
-            self._regions = self._reliable_session.regions
-            self._policy_builder = self._resolve_policy(policy)
-            self._next_region_id = 0
-            return
-        if clustering == "tree":
-            self._clustering_kind = "tree"
-        elif clustering is not None and not isinstance(clustering, str):
-            self._clustering_kind = "custom"
-        else:
-            self._clustering_kind = mode
         if clustering == "tree":
             self._clustering = TreeClustering(graph, config.k)
         elif isinstance(clustering, str):
@@ -260,53 +262,6 @@ class CloakingEngine:
         self._regions: dict[frozenset[int], CloakedRegion] = {}
         # Monotonic so region ids stay unique across invalidations.
         self._next_region_id = 0
-
-    def _build_reliable_session(
-        self,
-        mode: Mode,
-        policy: str | PolicyBuilder,
-        clustering: Optional[ClusteringService],
-        reliability: Optional[ReliabilityPolicy],
-        failure_plan: Optional[FailurePlan],
-    ):
-        """Wire the internal message-level session when reliability is on."""
-        if reliability is None:
-            if failure_plan is not None:
-                raise ConfigurationError(
-                    "failure_plan requires an enabled ReliabilityPolicy: "
-                    "the failure-oblivious engine has no recovery path"
-                )
-            return None
-        if clustering is not None or mode != "distributed":
-            raise ConfigurationError(
-                "ReliabilityPolicy requires the distributed mode "
-                "(the fault-tolerant runtime is a peer protocol)"
-            )
-        if not isinstance(policy, str) or policy == "optimal":
-            raise ConfigurationError(
-                "ReliabilityPolicy requires a progressive policy preset "
-                f"name, got {policy!r}"
-            )
-        if self._min_area > 0.0:
-            raise ConfigurationError(
-                "min_area is not supported together with ReliabilityPolicy"
-            )
-        # Local import: keeps the analytic engine importable without the
-        # message-level stack and avoids any package-order surprises.
-        from repro.cloaking.p2p_engine import P2PCloakingSession
-
-        network = PeerNetwork(failure_plan)
-        self._devices = populate_network(
-            network, self._graph, list(self._dataset.points)
-        )
-        return P2PCloakingSession(
-            network,
-            self._graph,
-            self._dataset,
-            self._config,
-            policy_name=policy,
-            reliability=reliability,
-        )
 
     def _resolve_policy(self, policy: str | PolicyBuilder) -> PolicyBuilder:
         if policy == "optimal":
@@ -345,20 +300,6 @@ class CloakingEngine:
         """Number of distinct cloaked regions formed so far."""
         return len(self._regions)
 
-    @property
-    def reliable_session(self):  # noqa: ANN201 - Optional[P2PCloakingSession]
-        """The internal message-level session, when reliability is on."""
-        return self._reliable_session
-
-    @property
-    def devices(self):  # noqa: ANN201 - Optional[dict[int, UserDevice]]
-        """The per-user devices of the message-level session, if any.
-
-        Their disclosure ledgers are part of the durable state: a warm
-        restart must not forget what each user already revealed.
-        """
-        return self._devices
-
     def request(self, host: int) -> CloakingResult:
         """Serve one cloaking request end to end.
 
@@ -375,13 +316,6 @@ class CloakingEngine:
             try:
                 with obs.span(metric.SPAN_REQUEST):
                     result = self._request(host)
-            except ProtocolAbort as exc:
-                # abort() already recorded the typed abort event itself.
-                recorder.record(
-                    _trace.EVT_REQUEST_END, host=host,
-                    status=f"abort:{exc.reason}",
-                )
-                raise
             except Exception as exc:
                 recorder.record(
                     _trace.EVT_REQUEST_END, host=host,
@@ -394,12 +328,9 @@ class CloakingEngine:
             return result
 
     def _request(self, host: int) -> CloakingResult:
-        if self._reliable_session is not None:
-            return self._request_reliable(host)
-        if self._tuning.share_regions:
-            slot = self._shared_slots.get(host)
-            if slot is not None:
-                return self._serve_shared(host, slot)
+        hit = self._lookup(host)
+        if hit is not None:
+            return hit
         relaxed_k: Optional[int] = None
         with obs.span(metric.SPAN_CLUSTERING):
             if self._tuning.relax_k:
@@ -407,14 +338,9 @@ class CloakingEngine:
             else:
                 cluster_result = self._clustering.request(host)
         members = cluster_result.members
-        cached = self._regions.get(members)
         if obs.enabled():
             obs.inc(metric.CLOAKING_REQUESTS)
-            if cached is not None:
-                obs.inc(metric.CLOAKING_CACHE_HITS)
-                obs.inc(metric.ENGINE_CACHE_DEMAND_HITS)
-            else:
-                obs.inc(metric.CLOAKING_CACHE_MISSES)
+            obs.inc(metric.CLOAKING_CACHE_MISSES)
         recorder = _trace._recorder
         if recorder is not None:
             recorder.record(
@@ -423,46 +349,18 @@ class CloakingEngine:
                 from_cache=cluster_result.from_cache,
                 involved=cluster_result.involved,
             )
-            recorder.record(
-                _trace.EVT_CACHE_HIT if cached is not None
-                else _trace.EVT_CACHE_MISS,
-                host=host,
-            )
-        if cached is not None:
-            return CloakingResult(
-                host=host,
-                region=cached,
-                cluster=cluster_result,
-                clustering_messages=cluster_result.involved,
-                bounding_messages=0,
-                region_from_cache=True,
-            )
+            recorder.record(_trace.EVT_CACHE_MISS, host=host)
         with obs.span(metric.SPAN_BOUNDING):
-            region, bounding_messages = self._bound(members, host)
-        region = self._enforce_granularity(region, host)
-        cloaked = CloakedRegion(
-            rect=region,
-            cluster_id=self._next_region_id,
-            anonymity=len(members),
-        )
-        self._next_region_id += 1
-        self._regions[members] = cloaked
-        if self._tuning.share_regions:
-            # Reciprocity (paper Section IV): the region belongs to the
-            # cluster, so every member's on-demand answer is now this
-            # exact region — push it into each member's slot.
-            for member in members:
-                self._shared_slots[member] = (members, region)
-            if obs.enabled():
-                obs.inc(metric.TUNING_PUSHED_SLOTS, len(members))
+            rect, bounding_messages = self._bound(members, host)
+        rect = self._enforce_granularity(rect, host)
+        region = self._publish(members, rect, len(members))
         if obs.enabled():
-            obs.set_gauge(metric.CLOAKING_REGIONS_CACHED, len(self._regions))
             obs.observe(
-                metric.CLOAKING_REGION_AREA, region.area, bounds=_AREA_BUCKETS
+                metric.CLOAKING_REGION_AREA, rect.area, bounds=_AREA_BUCKETS
             )
         return CloakingResult(
             host=host,
-            region=cloaked,
+            region=region,
             cluster=cluster_result,
             clustering_messages=cluster_result.involved,
             bounding_messages=bounding_messages,
@@ -470,50 +368,50 @@ class CloakingEngine:
             relaxed_k=relaxed_k,
         )
 
-    def _serve_shared(
-        self, host: int, slot: tuple[frozenset[int], Rect]
-    ) -> CloakingResult:
-        """Serve ``host`` from its proactively shared region slot.
+    def _lookup(self, host: int) -> Optional[CloakingResult]:
+        """Stage 1, Fig. 3's shortcut: the cached answer, or None on a miss.
 
-        When the cluster's region is still cached the slot is a pure
-        shortcut (same :class:`CloakedRegion` object the demand path
-        would return).  When churn invalidated it, the slot holds the
-        region *this member* would have computed on demand over the
-        current positions; serving it promotes the rect to the
-        cluster's cached region and rewrites every sibling slot —
-        exactly the state the member's on-demand miss would have left.
+        With region sharing on, the host's slot answers first.  A slot
+        whose region churn invalidated holds the rect *this member*
+        would compute on demand over the current positions; serving it
+        publishes that rect as the cluster's region — exactly the state
+        the member's on-demand miss would have left.  Otherwise an
+        already-clustered host whose cluster has a cached region is
+        answered at zero cost, as every phase-1 service reports such a
+        host: ``involved=0``, ``from_cache=True``, default connectivity.
         """
-        members, rect = slot
-        region = self._regions.get(members)
-        if region is None:
-            region = CloakedRegion(
-                rect=rect,
-                cluster_id=self._next_region_id,
-                anonymity=len(members),
-            )
-            self._next_region_id += 1
-            self._regions[members] = region
-            for member in members:
-                self._shared_slots[member] = (members, rect)
-            if obs.enabled():
-                obs.inc(metric.TUNING_PROMOTIONS)
-                obs.set_gauge(
-                    metric.CLOAKING_REGIONS_CACHED, len(self._regions)
-                )
-                obs.observe(
-                    metric.CLOAKING_REGION_AREA,
-                    rect.area,
-                    bounds=_AREA_BUCKETS,
-                )
+        slot = self._shared_slots.get(host) if self._tuning.share_regions else None
+        if slot is not None:
+            members, rect = slot
+            region = self._regions.get(members)
+            if region is None:
+                region = self._publish(members, rect, len(members))
+                if obs.enabled():
+                    obs.inc(metric.TUNING_PROMOTIONS)
+                    obs.observe(
+                        metric.CLOAKING_REGION_AREA,
+                        rect.area,
+                        bounds=_AREA_BUCKETS,
+                    )
+        else:
+            members = self._clustering.registry.cluster_of(host)
+            if members is None:
+                return None
+            region = self._regions.get(members)
+            if region is None:
+                return None
+        shared = slot is not None
         if obs.enabled():
             obs.inc(metric.CLOAKING_REQUESTS)
             obs.inc(metric.CLOAKING_CACHE_HITS)
-            obs.inc(metric.ENGINE_CACHE_SHARED_HITS)
+            obs.inc(
+                metric.ENGINE_CACHE_SHARED_HITS
+                if shared
+                else metric.ENGINE_CACHE_DEMAND_HITS
+            )
         recorder = _trace._recorder
         if recorder is not None:
-            recorder.record(
-                _trace.EVT_CACHE_HIT, host=host, shared=True
-            )
+            recorder.record(_trace.EVT_CACHE_HIT, host=host, shared=shared)
         return CloakingResult(
             host=host,
             region=region,
@@ -523,8 +421,31 @@ class CloakingEngine:
             clustering_messages=0,
             bounding_messages=0,
             region_from_cache=True,
-            region_shared=True,
+            region_shared=shared,
         )
+
+    def _publish(
+        self, members: frozenset[int], rect: Rect, anonymity: int
+    ) -> CloakedRegion:
+        """Stage 5: the only place a region gets an id and enters the cache.
+
+        Reciprocity (paper Section IV): the region belongs to the whole
+        cluster, so with sharing on every member's on-demand answer is
+        now this exact region — it is pushed into each member's slot.
+        """
+        region = CloakedRegion(
+            rect=rect, cluster_id=self._next_region_id, anonymity=anonymity
+        )
+        self._next_region_id += 1
+        self._regions[members] = region
+        if self._tuning.share_regions:
+            for member in members:
+                self._shared_slots[member] = (members, rect)
+            if obs.enabled():
+                obs.inc(metric.TUNING_PUSHED_SLOTS, len(members))
+        if obs.enabled():
+            obs.set_gauge(metric.CLOAKING_REGIONS_CACHED, len(self._regions))
+        return region
 
     def _cluster_relaxable(
         self, host: int
@@ -615,128 +536,20 @@ class CloakingEngine:
                 obs.inc(metric.TUNING_REPLANS)
         return self._delta_plan
 
-    def _request_reliable(self, host: int) -> CloakingResult:
-        """Delegate one request to the fault-tolerant message-level session.
-
-        The session owns the region cache (``self._regions`` is the same
-        dict), so cache accounting, invalidation and the batch fast path
-        all keep working; a :class:`ProtocolAbort` propagates to the
-        caller as the request's clean typed failure.
-        """
-        result = self._reliable_session.request(host)
-        if obs.enabled():
-            obs.inc(metric.CLOAKING_REQUESTS)
-            obs.inc(
-                metric.CLOAKING_CACHE_HITS
-                if result.region_from_cache
-                else metric.CLOAKING_CACHE_MISSES
-            )
-            if not result.region_from_cache:
-                obs.set_gauge(metric.CLOAKING_REGIONS_CACHED, len(self._regions))
-                obs.observe(
-                    metric.CLOAKING_REGION_AREA,
-                    result.region.rect.area,
-                    bounds=_AREA_BUCKETS,
-                )
-        return CloakingResult(
-            host=result.host,
-            region=result.region,
-            cluster=result.cluster,
-            clustering_messages=result.clustering_messages,
-            bounding_messages=result.bounding_messages,
-            region_from_cache=result.region_from_cache,
-        )
-
     def request_many(self, hosts: Iterable[int]) -> list[CloakingResult]:
-        """Serve a batch of cloaking requests, amortising the cache lookups.
+        """Serve a batch of cloaking requests under one trace scope.
 
         Produces exactly the results sequential :meth:`request` calls
-        would (same order), but answers the common case — host already
-        clustered, region already cached — with two dict probes instead
-        of a round trip through the phase-1 service.  Only hosts that
-        still need clustering or bounding fall through to the full path.
+        would (same order): every host runs the cache stage, and only a
+        miss falls through to the full :meth:`request`.
         """
         with _trace.request_scope():
             with obs.span(metric.SPAN_REQUEST_MANY):
-                return self._request_many(hosts)
-
-    def _request_many(self, hosts: Iterable[int]) -> list[CloakingResult]:
-        registry = self._clustering.registry
-        regions = self._regions
-        sharing = self._tuning.share_regions
-        results: list[CloakingResult] = []
-        fast_hits = shared_hits = 0
-        recorder = _trace._recorder
-        for host in hosts:
-            if sharing:
-                slot = self._shared_slots.get(host)
-                # A slot whose region was invalidated needs promotion —
-                # that (rarer) path runs through request() below.
-                if slot is not None and slot[0] in regions:
-                    shared_hits += 1
-                    if recorder is not None:
-                        recorder.record(
-                            _trace.EVT_CACHE_HIT,
-                            host=host,
-                            fast_path=True,
-                            shared=True,
-                        )
-                    results.append(
-                        CloakingResult(
-                            host=host,
-                            region=regions[slot[0]],
-                            cluster=ClusterResult(
-                                host=host,
-                                members=slot[0],
-                                involved=0,
-                                from_cache=True,
-                            ),
-                            clustering_messages=0,
-                            bounding_messages=0,
-                            region_from_cache=True,
-                            region_shared=True,
-                        )
-                    )
-                    continue
-            members = registry.cluster_of(host)
-            cached = regions.get(members) if members is not None else None
-            if members is not None and cached is not None:
-                fast_hits += 1
-                if recorder is not None:
-                    recorder.record(
-                        _trace.EVT_CACHE_HIT, host=host, fast_path=True
-                    )
-                # Exactly the answer request() assembles for an
-                # already-clustered host with a cached region: every
-                # phase-1 service reports such hits as involved=0,
-                # from_cache=True, connectivity left at its default.
-                results.append(
-                    CloakingResult(
-                        host=host,
-                        region=cached,
-                        cluster=ClusterResult(
-                            host=host,
-                            members=members,
-                            involved=0,
-                            from_cache=True,
-                        ),
-                        clustering_messages=0,
-                        bounding_messages=0,
-                        region_from_cache=True,
-                    )
-                )
-            else:
-                results.append(self.request(host))
-        if (fast_hits or shared_hits) and obs.enabled():
-            # The fast path skips request(), so its accounting lands here
-            # in one batched update instead of per-host increments.
-            obs.inc(metric.CLOAKING_REQUESTS, fast_hits + shared_hits)
-            obs.inc(metric.CLOAKING_CACHE_HITS, fast_hits + shared_hits)
-            if fast_hits:
-                obs.inc(metric.ENGINE_CACHE_DEMAND_HITS, fast_hits)
-            if shared_hits:
-                obs.inc(metric.ENGINE_CACHE_SHARED_HITS, shared_hits)
-        return results
+                results: list[CloakingResult] = []
+                for host in hosts:
+                    hit = self._lookup(host)
+                    results.append(hit if hit is not None else self.request(host))
+                return results
 
     def invalidate_region(self, members: Iterable[int]) -> bool:
         """Drop the cached region for the cluster ``members``, if any.
@@ -824,19 +637,7 @@ class CloakingEngine:
         key = frozenset(members)
         if key in self._regions:
             return False
-        self._regions[key] = CloakedRegion(
-            rect=rect, cluster_id=self._next_region_id, anonymity=anonymity
-        )
-        self._next_region_id += 1
-        if self._tuning.share_regions:
-            # Cross-replica propagation of the proactive push: the
-            # adopted region is the cluster's answer for every member.
-            for member in key:
-                self._shared_slots[member] = (key, rect)
-            if obs.enabled():
-                obs.inc(metric.TUNING_PUSHED_SLOTS, len(key))
-        if obs.enabled():
-            obs.set_gauge(metric.CLOAKING_REGIONS_CACHED, len(self._regions))
+        self._publish(key, rect, anonymity)
         return True
 
     def apply_moves(self, moves: Sequence[tuple[int, Point]]) -> ChurnPatch:
@@ -855,27 +656,49 @@ class CloakingEngine:
 
         The first call builds the churn runtime (grid index + incremental
         maintainer) from the current positions; an empty batch is a valid
-        warm-up.  Requires the failure-oblivious engine (no reliability
-        policy) and a graph built with a stateless radio model — the
-        default :func:`~repro.graph.build.build_wpg_fast` output
-        qualifies.
+        warm-up.  Requires a graph built with a stateless radio model —
+        the default :func:`~repro.graph.build.build_wpg_fast` output
+        qualifies.  An invalid batch (see :meth:`check_moves`) raises
+        :class:`~repro.errors.ConfigurationError` before anything is
+        journaled or mutated.
         """
         with _trace.request_scope():
             with obs.span(metric.SPAN_CHURN_APPLY):
                 return self._apply_moves(list(moves))
 
+    def check_moves(self, moves: Sequence[tuple[int, Point]]) -> None:
+        """Reject a move batch :meth:`apply_moves` must not apply.
+
+        Every user id must be an integer in ``[0, n)`` and appear at most
+        once, and every coordinate must be finite.
+        """
+        n = self._graph.vertex_count
+        seen: set[int] = set()
+        for user, point in moves:
+            if not isinstance(user, (int, np.integer)) or not 0 <= user < n:
+                raise ConfigurationError(
+                    f"apply_moves got user id {user!r} outside [0, {n})"
+                )
+            if user in seen:
+                raise ConfigurationError(
+                    "apply_moves got duplicate user ids in one batch"
+                )
+            seen.add(user)
+            if not (math.isfinite(point.x) and math.isfinite(point.y)):
+                raise ConfigurationError(
+                    f"apply_moves got a non-finite position {point} "
+                    f"for user {user}"
+                )
+
     def _apply_moves(self, moves: list[tuple[int, Point]]) -> ChurnPatch:
+        # Validate first: the write-ahead journal and every live
+        # structure must only ever see a batch the maintainer can apply.
+        self.check_moves(moves)
         if self._churn is None:
             self._churn = self._build_churn_runtime()
         if moves and self._store is not None and not self._replaying:
             # Write-ahead: the batch must be durable before any live
-            # structure mutates.  Pre-validate what the maintainer would
-            # reject so an invalid batch never reaches the journal.
-            ids = [user for user, _ in moves]
-            if len(set(ids)) != len(ids):
-                raise ConfigurationError(
-                    "apply_moves got duplicate user ids in one batch"
-                )
+            # structure mutates.
             self._journal_seq += 1
             self._store.journal.append(self._journal_seq, moves)
         patch = self._churn.apply_moves(moves)
@@ -981,12 +804,6 @@ class CloakingEngine:
 
     def _build_churn_runtime(self) -> IncrementalWPG:
         """First-move setup: mutable dataset, grid, incremental maintainer."""
-        if self._reliable_session is not None:
-            raise ConfigurationError(
-                "apply_moves requires the failure-oblivious engine: the "
-                "message-level reliability session pins devices to their "
-                "initial positions"
-            )
         if not isinstance(self._dataset, MutablePointDataset):
             self._dataset = MutablePointDataset.from_dataset(self._dataset)
         if self._churn_restore is not None:
@@ -1027,10 +844,30 @@ class CloakingEngine:
                 "a custom policy callable is not restorable — persist "
                 "engines built with a named policy preset"
             )
-        if self._clustering_kind == "custom":
+        self._flavor()
+
+    def _flavor(self) -> str:
+        """The snapshot name of the phase-1 service, derived from its type.
+
+        Only a stock service in the configuration :meth:`restore`
+        rebuilds counts — this engine's graph and k, greedy step 3, no
+        closure reading, no precomputed partition.  Anything else is a
+        custom service, and a custom service is not restorable.
+        """
+        service = self._clustering
+        flavor = _FLAVORS.get(type(service))
+        if (
+            flavor is None
+            or service._graph is not self._graph  # type: ignore[attr-defined]
+            or service.k != self._config.k  # type: ignore[attr-defined]
+            or service._method != "greedy"  # type: ignore[attr-defined]
+            or getattr(service, "_closure", False)
+            or getattr(service, "_precomputed", None) is not None
+        ):
             raise PersistError(
                 "a custom phase-1 clustering service is not restorable"
             )
+        return flavor
 
     def enable_persistence(self, store: "PersistentStore") -> None:
         """Attach a durable store: journal every future move batch.
@@ -1058,8 +895,7 @@ class CloakingEngine:
         incremental maintainer's directed-picks table; tree-flavored
         engines add the cluster-tree dendrogram columns.  Meta (JSON):
         config, engine flavor, the region cache, the cluster registry in
-        registration order, centralized partition flags, and (for
-        message-level sessions) every device's disclosure ledger.
+        registration order, and centralized partition flags.
         """
         self._require_persistable()
         if self._churn is None and self._churn_restore is not None:
@@ -1071,16 +907,12 @@ class CloakingEngine:
         arrays["positions"] = np.array(
             [[p.x, p.y] for p in points], dtype=float
         ).reshape(len(points), 2)
-        for key, value in graph_to_arrays(self._graph).items():
-            arrays[f"graph_{key}"] = value
+        arrays.update(_prefixed("graph_", graph_to_arrays(self._graph)))
         has_churn = self._churn is not None
         if has_churn:
-            for key, value in self._churn.grid.export_arrays().items():
-                arrays[f"grid_{key}"] = value
-            indptr, peers, ranks = self._churn.export_picks()
-            arrays["picks_indptr"] = indptr
-            arrays["picks_peers"] = peers
-            arrays["picks_ranks"] = ranks
+            arrays.update(_prefixed("grid_", self._churn.grid.export_arrays()))
+            picks = zip(("indptr", "peers", "ranks"), self._churn.export_picks())
+            arrays.update(_prefixed("picks_", dict(picks)))
         clustering = self._clustering
         if isinstance(clustering, TreeClustering):
             for key, value in clustering.tree.to_state().items():
@@ -1092,8 +924,7 @@ class CloakingEngine:
                 "mode": self._mode,
                 "policy": self._policy_spec,
                 "min_area": self._min_area,
-                "clustering": self._clustering_kind,
-                "reliability": self._reliable_session is not None,
+                "clustering": self._flavor(),
                 "has_churn": has_churn,
                 "dataset_name": self._dataset.name,
             },
@@ -1102,12 +933,7 @@ class CloakingEngine:
             "regions": [
                 {
                     "members": sorted(members),
-                    "rect": [
-                        region.rect.x_min.hex(),
-                        region.rect.x_max.hex(),
-                        region.rect.y_min.hex(),
-                        region.rect.y_max.hex(),
-                    ],
+                    "rect": _rect_hex(region.rect),
                     "cluster_id": region.cluster_id,
                     "anonymity": region.anonymity,
                 }
@@ -1117,7 +943,6 @@ class CloakingEngine:
                 sorted(registry.cluster_by_id(cid))
                 for cid in range(len(registry))
             ],
-            "ledgers": export_ledgers(self._devices) if self._devices else None,
         }
         if self._tuning.enabled():
             # The δ-plan is derivable (pure function of the restored
@@ -1130,12 +955,7 @@ class CloakingEngine:
                     {
                         "user": user,
                         "members": sorted(members),
-                        "rect": [
-                            rect.x_min.hex(),
-                            rect.x_max.hex(),
-                            rect.y_min.hex(),
-                            rect.y_max.hex(),
-                        ],
+                        "rect": _rect_hex(rect),
                     }
                     for user, (members, rect) in sorted(
                         self._shared_slots.items()
@@ -1184,25 +1004,8 @@ class CloakingEngine:
         with obs.span(metric.SPAN_PERSIST_RESTORE):
             arrays, meta = store.require_latest_snapshot()
             info = meta["engine"]
-            if info["reliability"]:
-                raise PersistError(
-                    "cannot restore a reliability-mode engine: the "
-                    "message-level session is not replayable (its "
-                    "snapshots exist for disclosure-ledger audits)"
-                )
-            if info["clustering"] == "custom":
-                raise PersistError(
-                    "cannot restore a custom clustering service"
-                )
             config = SimulationConfig(**meta["config"])
-            graph = graph_from_arrays(
-                {
-                    "vertices": arrays["graph_vertices"],
-                    "us": arrays["graph_us"],
-                    "vs": arrays["graph_vs"],
-                    "ws": arrays["graph_ws"],
-                }
-            )
+            graph = graph_from_arrays(_unprefixed("graph_", arrays))
             dataset = MutablePointDataset(
                 [
                     Point(x, y)
@@ -1216,17 +1019,8 @@ class CloakingEngine:
             kind = info["clustering"]
             if kind == "tree":
                 tree_state = {
-                    key: arrays[f"tree_{key}"].tolist()
-                    for key in (
-                        "comp_ids",
-                        "node_indptr",
-                        "parent",
-                        "weight",
-                        "size",
-                        "leaf_lo",
-                        "leaf_order",
-                        "next_id",
-                    )
+                    key: value.tolist()
+                    for key, value in _unprefixed("tree_", arrays).items()
                 }
                 tree = ClusterTree.from_state(graph, tree_state)
                 service: ClusteringService = TreeClustering(
@@ -1262,12 +1056,10 @@ class CloakingEngine:
                 clustering=service,
                 tuning=tuning,
             )
-            engine._clustering_kind = kind
             engine._next_region_id = int(meta["next_region_id"])
             for entry in meta["regions"]:
-                rect = Rect(*(float.fromhex(h) for h in entry["rect"]))
                 engine._regions[frozenset(entry["members"])] = CloakedRegion(
-                    rect=rect,
+                    rect=_rect_from_hex(entry["rect"]),
                     cluster_id=int(entry["cluster_id"]),
                     anonymity=int(entry["anonymity"]),
                 )
@@ -1278,7 +1070,7 @@ class CloakingEngine:
                 for entry in tuning_meta["slots"]:
                     engine._shared_slots[int(entry["user"])] = (
                         frozenset(entry["members"]),
-                        Rect(*(float.fromhex(h) for h in entry["rect"])),
+                        _rect_from_hex(entry["rect"]),
                     )
             if info["has_churn"]:
                 # Stashed, not rebuilt: the first apply_moves (usually
@@ -1287,12 +1079,7 @@ class CloakingEngine:
                 # warm restart with an empty journal defers the cost —
                 # exactly like a fresh engine defers first-move setup.
                 engine._churn_restore = {
-                    "grid": {
-                        "coords": arrays["grid_coords"],
-                        "live": arrays["grid_live"],
-                        "bucket_indptr": arrays["grid_bucket_indptr"],
-                        "bucket_points": arrays["grid_bucket_points"],
-                    },
+                    "grid": _unprefixed("grid_", arrays),
                     "picks": (
                         arrays["picks_indptr"],
                         arrays["picks_peers"],

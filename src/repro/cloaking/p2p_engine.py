@@ -149,7 +149,7 @@ class P2PCloakingSession:
 
     @property
     def regions(self) -> dict[frozenset[int], CloakedRegion]:
-        """The cluster -> cloaked-region cache (shared with the engine)."""
+        """The cluster -> cloaked-region cache."""
         return self._regions
 
     @property
@@ -166,38 +166,32 @@ class P2PCloakingSession:
         they propagate as raw :class:`~repro.errors.ProtocolError`\\ s,
         exactly the seed behavior.
 
-        Runs under a trace scope of its own; when called from the
-        engine's reliable path it adopts the engine's trace instead, and
-        only the scope *owner* emits the request start/end events.
+        Runs under a trace scope of its own (nested calls adopt the
+        enclosing trace) and records the request's start/end events.
         """
-        owner = _trace._current is None
         with _trace.request_scope():
             recorder = _trace._recorder
             if recorder is None:
                 return self._request_wire(host)
-            if owner:
-                recorder.record(_trace.EVT_REQUEST_START, host=host)
+            recorder.record(_trace.EVT_REQUEST_START, host=host)
             try:
                 result = self._request_wire(host)
             except ProtocolAbort as exc:
-                if owner:
-                    recorder.record(
-                        _trace.EVT_REQUEST_END, host=host,
-                        status=f"abort:{exc.reason}",
-                    )
-                raise
-            except Exception as exc:
-                if owner:
-                    recorder.record(
-                        _trace.EVT_REQUEST_END, host=host,
-                        status=f"error:{type(exc).__name__}",
-                    )
-                raise
-            if owner:
                 recorder.record(
                     _trace.EVT_REQUEST_END, host=host,
-                    status="cache_hit" if result.region_from_cache else "ok",
+                    status=f"abort:{exc.reason}",
                 )
+                raise
+            except Exception as exc:
+                recorder.record(
+                    _trace.EVT_REQUEST_END, host=host,
+                    status=f"error:{type(exc).__name__}",
+                )
+                raise
+            recorder.record(
+                _trace.EVT_REQUEST_END, host=host,
+                status="cache_hit" if result.region_from_cache else "ok",
+            )
             return result
 
     def _request_wire(self, host: int) -> P2PCloakingResult:

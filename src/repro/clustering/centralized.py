@@ -26,16 +26,13 @@ greedy).  Naive and fast are cross-validated by the test suite.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Literal, Optional
+from typing import Iterable, Literal, Optional
 
 from repro.errors import ConfigurationError
 from repro.clustering.base import Partition
 from repro.graph.components import connected_components
 from repro.graph.dendrogram import cut_smallest_valid, single_linkage_dendrogram
 from repro.graph.wpg import Edge, WeightedProximityGraph
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime import)
-    from repro.graph.cluster_tree import ClusterTree
 
 Method = Literal["strict", "greedy"]
 
@@ -46,35 +43,14 @@ def centralized_k_clustering(
     method: Method = "greedy",
     vertices: Optional[Iterable[int]] = None,
     naive: bool = False,
-    tree: "Optional[ClusterTree]" = None,
 ) -> Partition:
     """Partition ``graph`` (or the induced subgraph on ``vertices``).
 
     Returns a :class:`Partition`: valid clusters of size >= k plus the
     components that simply do not contain k users.
-
-    ``tree`` routes a whole-graph partition through a persistent
-    :class:`~repro.graph.cluster_tree.ClusterTree` built over ``graph``:
-    memoized tree cuts (and memoized greedy refinements) replace the
-    per-call dendrogram build, so repeated partitions are near-free.
-    Same clusters either way; ignored for subgraph or naive requests.
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
-    if tree is not None and vertices is None and not naive:
-        if method not in ("strict", "greedy"):
-            raise ConfigurationError(f"unknown method {method!r}")
-        groups = (
-            tree.strict_partition(k)
-            if method == "strict"
-            else tree.greedy_partition(k)
-        )
-        partition = Partition(k=k)
-        for group in groups:
-            (
-                partition.clusters if len(group) >= k else partition.invalid
-            ).append(group)
-        return partition
     target = graph if vertices is None else graph.subgraph(vertices)
     if method == "strict":
         groups = (

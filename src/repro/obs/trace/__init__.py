@@ -8,11 +8,10 @@ all of that per process; this module adds the *per-request* axis:
 
 * A **trace context**: :func:`request_scope` allocates a process-unique
   trace id at each engine entry point (``request`` / ``request_many`` /
-  ``apply_moves`` / a bare ``P2PCloakingSession.request``) and parks it
-  in a module global that the network simulator stamps onto every
+  ``apply_moves`` / ``P2PCloakingSession.request``) and parks it in a
+  module global that the network simulator stamps onto every
   :class:`~repro.network.message.Message` envelope.  Nested scopes adopt
-  the outer id, so a session request issued by the engine's reliable
-  path stays one trace.
+  the outer id, so a request issued inside a batch stays one trace.
 * A **flight recorder**: a bounded ring of typed
   :class:`TraceEvent` entries (request start/end, cache hit/miss,
   cluster formed/reformed, bounding runs, retries, evictions, aborts,
@@ -207,8 +206,8 @@ class _TraceScope:
 def request_scope() -> object:
     """A context manager establishing a trace id for one request.
 
-    Nested scopes adopt the enclosing id (the engine's reliable path
-    delegating to a session request stays one trace); a top-level scope
+    Nested scopes adopt the enclosing id (a request issued inside
+    ``request_many`` stays one trace with its batch); a top-level scope
     allocates a fresh id.  When no flight recorder is installed and
     metrics are off this returns a shared no-op singleton, keeping the
     disabled path at global loads plus one branch.

@@ -1,8 +1,8 @@
 """Durable engine state: snapshots plus a write-ahead churn journal.
 
 The engine's live state — grid, WPG, cluster tree, region cache,
-registries, ledgers — is expensive to rebuild and, until this package,
-died with the process.  Durability here is the classic two-piece design:
+registries — is expensive to rebuild and, until this package, died
+with the process.  Durability here is the classic two-piece design:
 
 * :mod:`repro.persist.snapshot` — a versioned point-in-time capture:
   one ``state.npz`` of numpy columns for the array-shaped state and one

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import operator
 import socket
 import threading
 from concurrent.futures import Future
@@ -46,7 +47,12 @@ from typing import Iterable, Optional, Sequence
 
 from repro import errors as _errors
 from repro import obs
-from repro.errors import ReproError, ServiceError, ServiceOverload
+from repro.errors import (
+    ConfigurationError,
+    ReproError,
+    ServiceError,
+    ServiceOverload,
+)
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.network.frames import (
@@ -396,15 +402,27 @@ class CloakingService:
         ``moves`` entries are ``(user, x, y)`` or ``(user, Point)``.
         Returns a summary dict: per-shard halo-refresh counts, the number
         of users rerouted to a different owner, and the state-sync sizes.
+        A batch no replica could apply (see
+        :meth:`~repro.cloaking.engine.CloakingEngine.check_moves`) is
+        refused with a typed error before any worker sees it.
         """
         batch: list[tuple[int, Point]] = []
         for entry in moves:
-            if len(entry) == 2:
-                user, point = entry
-                batch.append((int(user), point))
-            else:
-                user, x, y = entry
-                batch.append((int(user), Point(float(x), float(y))))
+            try:
+                if len(entry) == 2 and isinstance(entry[1], Point):
+                    user, point = entry
+                else:
+                    user, x, y = entry
+                    point = Point(float(x), float(y))
+                # operator.index, not int(): a float id such as 1.7 must
+                # be refused, not truncated into moving user 1.
+                batch.append((operator.index(user), point))
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"malformed move {entry!r}: expected (user, x, y) "
+                    "with an integer user id"
+                ) from exc
+        self._mirror.check_moves(batch)
         with self._admission:
             self._gate_closed = True
             drained = self._admission.wait_for(

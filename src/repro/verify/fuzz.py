@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro import obs
-from repro.cloaking.engine import CloakingEngine
+from repro.cloaking.engine import CloakingEngine, CloakingResult
 from repro.cloaking.p2p_engine import P2PCloakingSession
 from repro.clustering.distributed import DistributedClustering
 from repro.errors import ClusteringError
@@ -56,7 +56,7 @@ from repro.verify.worlds import (
 )
 
 
-def _make_engine(built: BuiltWorld) -> CloakingEngine:
+def _make_engine(built: BuiltWorld) -> CloakingEngine | P2PCloakingSession:
     world = built.world
     if world.churn_moves:
         # The churn runtime patches the engine's graph in place; each
@@ -70,16 +70,19 @@ def _make_engine(built: BuiltWorld) -> CloakingEngine:
             policy=world.policy,
         )
     if world.faulty:
-        return CloakingEngine(
+        # Fault worlds run the message-level session itself, with the
+        # reliability policy on and the world's failure plan injected.
+        return P2PCloakingSession.bootstrapped(
             built.dataset,
             built.graph,
             built.config,
-            mode="distributed",
-            policy=world.policy,
-            reliability=ReliabilityPolicy(),
-            failure_plan=FailurePlan(
-                world.drop_probability, crashed=world.crashed, seed=world.seed
+            network=PeerNetwork(
+                FailurePlan(
+                    world.drop_probability, crashed=world.crashed, seed=world.seed
+                )
             ),
+            policy_name=world.policy,
+            reliability=ReliabilityPolicy(),
         )
     return CloakingEngine(
         built.dataset, built.graph, built.config, mode=world.mode, policy=world.policy
@@ -87,10 +90,29 @@ def _make_engine(built: BuiltWorld) -> CloakingEngine:
 
 
 def _request_loop(
-    engine: CloakingEngine, hosts: Sequence[int]
+    server: CloakingEngine | P2PCloakingSession, hosts: Sequence[int]
 ) -> List[RequestRecord]:
-    """Serve ``hosts`` in order, recording results and typed failures."""
-    registry = engine.clustering.registry
+    """Serve ``hosts`` in order, recording results and typed failures.
+
+    A session's results are recorded in the engine's result shape, the
+    one every invariant reads.
+    """
+    if isinstance(server, P2PCloakingSession):
+        registry = server.registry
+
+        def serve(host: int) -> CloakingResult:
+            wire = server.request(host)
+            return CloakingResult(
+                host=wire.host,
+                region=wire.region,
+                cluster=wire.cluster,
+                clustering_messages=wire.clustering_messages,
+                bounding_messages=wire.bounding_messages,
+                region_from_cache=wire.region_from_cache,
+            )
+    else:
+        registry = server.clustering.registry
+        serve = server.request
     records: List[RequestRecord] = []
     recording = obs.enabled()
     for host in hosts:
@@ -100,7 +122,7 @@ def _request_loop(
         if recording:
             obs.inc(metric.VERIFY_REQUESTS)
         try:
-            record.result = engine.request(host)
+            record.result = serve(host)
         except ClusteringError as exc:
             record.error = f"{type(exc).__name__}: {exc}"
             record.error_kind = "clustering"
@@ -118,7 +140,11 @@ def _request_loop(
 
 def _serve(
     built: BuiltWorld,
-) -> tuple[CloakingEngine, List[RequestRecord], Optional[ChurnObservation]]:
+) -> tuple[
+    CloakingEngine | P2PCloakingSession,
+    List[RequestRecord],
+    Optional[ChurnObservation],
+]:
     """One full pass over the world's request sequence (plus churn).
 
     Churn worlds continue after the first pass: the seeded movement
@@ -283,9 +309,11 @@ def run_world(world: World) -> WorldRun:
             p2p = _serve_p2p(built)
     if obs.enabled():
         obs.inc(metric.VERIFY_WORLDS)
+    session = engine if isinstance(engine, P2PCloakingSession) else None
     return WorldRun(
         built=built,
-        engine=engine,
+        engine=None if session is not None else engine,
+        session=session,
         records=records,
         replay_records=replay_records,
         p2p=p2p,

@@ -24,7 +24,7 @@ from repro.clustering.isolation import (
     smallest_valid_cluster_rule,
 )
 from repro.cloaking.engine import CloakingEngine, CloakingResult
-from repro.cloaking.p2p_engine import P2PCloakingResult
+from repro.cloaking.p2p_engine import P2PCloakingResult, P2PCloakingSession
 from repro.datasets.base import PointDataset
 from repro.errors import VerificationError
 from repro.geometry.point import Point
@@ -132,6 +132,7 @@ class WorldRun:
     """Everything one fuzzed world produced, ready for invariant checks."""
 
     built: BuiltWorld
+    #: The analytic engine that served the world (None for fault worlds).
     engine: Optional[CloakingEngine]
     records: List[RequestRecord] = field(default_factory=list)
     replay_records: Optional[List[RequestRecord]] = None
@@ -140,6 +141,8 @@ class WorldRun:
     tree: Optional[TreeObservation] = None
     #: Flight recorder active during the FIRST serving pass only.
     flight: Optional[trace_mod.FlightRecorder] = None
+    #: The message-level session that served a fault world.
+    session: Optional[P2PCloakingSession] = None
 
 
 Invariant = Callable[[WorldRun], List[str]]
@@ -253,9 +256,16 @@ def _k_anonymity(run: WorldRun) -> List[str]:
                 f"host {result.host}: anonymity {result.region.anonymity} "
                 f"!= cluster size {result.cluster.size}"
             )
-    if run.engine is not None:
+    registry = (
+        run.session.registry
+        if run.session is not None
+        else run.engine.clustering.registry
+        if run.engine is not None
+        else None
+    )
+    if registry is not None:
         try:
-            run.engine.clustering.registry.check_reciprocity()
+            registry.check_reciprocity()
         except Exception as exc:
             details.append(f"registry reciprocity violated: {exc}")
     return details
@@ -705,8 +715,8 @@ def _tree_record_diffs(
 def _cluster_tree_equal(run: WorldRun) -> List[str]:
     """The persistent cluster tree is exactly the dendrogram/oracle math.
 
-    Four layers, all on the same fuzzed world: (a) whole-graph strict and
-    greedy partitions routed through the tree equal the direct
+    Four layers, all on the same fuzzed world: (a) the tree's own
+    whole-graph strict and greedy cuts equal the direct
     ``centralized_k_clustering`` runs; (b) every requested host's tree
     ancestor walk equals the from-definition level-scan oracle, cluster
     and t both; (c) on small worlds, the tree's Property 4.1 isolation
@@ -723,13 +733,17 @@ def _cluster_tree_equal(run: WorldRun) -> List[str]:
 
     for method in ("strict", "greedy"):
         direct = centralized_k_clustering(graph, k, method=method)
-        routed = centralized_k_clustering(graph, k, method=method, tree=tree)
+        cut = (
+            tree.strict_partition(k)
+            if method == "strict"
+            else tree.greedy_partition(k)
+        )
         if _canonical_partition(direct.all_groups()) != _canonical_partition(
-            routed.all_groups()
+            cut
         ):
             details.append(
                 f"whole-graph {method} partition differs between the tree "
-                "route and the direct dendrogram path"
+                "cut and the direct dendrogram path"
             )
 
     for host in run.built.hosts:
@@ -930,9 +944,7 @@ def _trace_ledger_agree(run: WorldRun) -> List[str]:
                     f"first pass: {patches} churn_patch event(s) for "
                     f"{batches} applied batch(es)"
                 )
-        session = (
-            run.engine.reliable_session if run.engine is not None else None
-        )
+        session = run.session
         if session is not None:
             details.extend(
                 _reconcile_traffic(events, session.network, "first pass")

@@ -122,17 +122,6 @@ def test_partitions_match_centralized_on_random_graphs():
                 ) == canonical(direct.all_groups()), (seed, k, method)
 
 
-def test_tree_route_of_centralized_k_clustering():
-    rng = random.Random(7)
-    graph = random_graph(rng, 30, 0.12)
-    tree = ClusterTree(graph)
-    for method in ("strict", "greedy"):
-        direct = centralized_k_clustering(graph, 3, method=method)
-        routed = centralized_k_clustering(graph, 3, method=method, tree=tree)
-        assert canonical(routed.clusters) == canonical(direct.clusters)
-        assert canonical(routed.invalid) == canonical(direct.invalid)
-
-
 def test_smallest_valid_cluster_matches_level_scan_oracle():
     for seed in range(30):
         rng = random.Random(100 + seed)

@@ -7,17 +7,19 @@ Two defects fixed in the same PR as the cluster-tree fast path:
   exhaust its 64 analytic rounds and silently return ``area <
   min_area``.  The bisection fallback now guarantees the target; the
   property here drives corner/edge/interior seed rectangles.
-* ``request_many``'s fast path fabricates the cached
-  :class:`ClusterResult` instead of calling the phase-1 service — the
+* ``request_many`` and :meth:`request` share one cache stage, which
+  answers a cached host without calling the phase-1 service — the
   batch parity test pins the full :class:`CloakingResult`, field for
-  field, to what sequential :meth:`request` calls produce for every
-  mode, cached and uncached hosts alike.
+  field, and the clustering/cloaking/engine-cache counters to what
+  sequential :meth:`request` calls produce for every mode, cached and
+  uncached hosts alike.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
+from repro import obs
 from repro.cloaking.engine import CloakingEngine
 from repro.config import SimulationConfig
 from repro.datasets import uniform_points
@@ -121,24 +123,53 @@ def batch_with_fallback(engine, hosts):
     return results
 
 
+#: Counter families both serving paths must account identically.
+_COUNTED = ("clustering.", "cloaking.", "engine.cache.")
+
+
+def counted(serve, engine, hosts):
+    """``serve(engine, hosts)`` under a fresh metrics registry; returns
+    the outcomes and the clustering/cloaking/engine-cache counters."""
+    registry = obs.enable(obs.MetricsRegistry())
+    try:
+        outcomes = serve(engine, hosts)
+    finally:
+        obs.disable()
+        obs.reset_traces()
+    counters = {
+        name: counter.value
+        for name, counter in registry.counters.items()
+        if name.startswith(_COUNTED)
+    }
+    return outcomes, counters
+
+
 def test_request_many_matches_sequential_field_for_field():
-    hosts = [3, 7, 3, 1, 7, 11, 3]  # repeats hit the fabricated fast path
+    hosts = [3, 7, 3, 1, 7, 11, 3]  # repeats hit the cache stage
     for clustering in (None, "tree"):
         for mode in ("distributed", "centralized"):
             if clustering == "tree" and mode == "centralized":
                 continue
             sequential_engine = tiny_engine(mode=mode, clustering=clustering)
             batch_engine = tiny_engine(mode=mode, clustering=clustering)
-            expected = serve_sequential(sequential_engine, hosts)
-            actual = batch_with_fallback(batch_engine, hosts)
+            expected, sequential_counters = counted(
+                serve_sequential, sequential_engine, hosts
+            )
+            actual, batch_counters = counted(
+                batch_with_fallback, batch_engine, hosts
+            )
+            # One cache stage: both paths count the same requests, hits,
+            # misses and phase-1 calls.
+            assert sequential_counters["cloaking.cache_hits"] > 0, mode
+            assert batch_counters == sequential_counters, (mode, clustering)
             assert len(actual) == len(expected)
             for host, ours, reference in zip(hosts, actual, expected):
                 assert type(ours) is type(reference), (mode, host)
                 if isinstance(ours, str):
                     assert ours == reference, (mode, host)
                     continue
-                # Field-for-field: the fabricated cached ClusterResult
-                # must be indistinguishable from the service's own.
+                # Field-for-field: both paths answer through the same
+                # cache stage and the same phase-1 call.
                 assert ours.host == reference.host
                 assert ours.cluster.host == reference.cluster.host
                 assert ours.cluster.members == reference.cluster.members
@@ -157,15 +188,19 @@ def test_request_many_matches_sequential_field_for_field():
 
 
 def test_request_many_cached_hosts_equal_repeat_requests():
-    engine = tiny_engine()
-    hosts = [0, 4, 8]
-    for host in hosts:
-        engine.request(host)  # populate registry + region cache
-    sequential = [engine.request(host) for host in hosts]
-    batched = engine.request_many(hosts)
-    assert batched == sequential  # frozen dataclasses: full equality
-    for result in batched:
-        assert result.region_from_cache
-        assert result.cluster.from_cache
-        assert result.cluster.involved == 0
-        assert result.cluster.connectivity == 0.0
+    for kwargs in ({}, {"mode": "centralized"}, {"clustering": "tree"}):
+        engine = tiny_engine(**kwargs)
+        hosts = [0, 4, 8]
+        for host in hosts:
+            engine.request(host)  # populate registry + region cache
+        sequential = [engine.request(host) for host in hosts]
+        batched = engine.request_many(hosts)
+        assert batched == sequential  # frozen dataclasses: full equality
+        for result in batched:
+            assert result.region_from_cache
+            assert result.cluster.from_cache
+            assert result.cluster.involved == 0
+            assert result.cluster.connectivity == 0.0
+            # The cache stage skips phase 1; its cluster answer must be
+            # exactly the one phase 1 gives for a registered host.
+            assert result.cluster == engine.clustering.request(result.host)

@@ -290,10 +290,29 @@ class TestRestoreRefusals:
         from repro.clustering.distributed import DistributedClustering
 
         dataset, graph = _fresh_parts()
-        service = DistributedClustering(graph, CONFIG.k)
+        # The closure reading is a configuration restore cannot rebuild.
+        service = DistributedClustering(graph, CONFIG.k, closure=True)
         engine = CloakingEngine(dataset, graph, CONFIG, clustering=service)
         with pytest.raises(PersistError):
             engine.enable_persistence(PersistentStore(tmp_path / "s"))
+
+    def test_stock_service_passed_in_restores_bit_identical(self, tmp_path):
+        from repro.clustering.distributed import DistributedClustering
+
+        dataset, graph = _fresh_parts()
+        live = CloakingEngine(
+            MutablePointDataset.from_dataset(dataset), graph, CONFIG,
+            clustering=DistributedClustering(graph, CONFIG.k),
+        )
+        reference = make_engine()
+        hosts = list(range(0, USERS, 4))
+        assert serve(live, hosts) == serve(reference, hosts)
+        live.enable_persistence(PersistentStore(tmp_path / "store"))
+        live.checkpoint()
+        live.disable_persistence()
+        restored = CloakingEngine.restore(PersistentStore(tmp_path / "store"))
+        assert_engines_equal(restored, reference)
+        restored.disable_persistence()
 
     def test_duplicate_ids_never_reach_the_journal(self, tmp_path):
         engine = make_engine()
@@ -307,34 +326,65 @@ class TestRestoreRefusals:
         assert len(store.journal.records()) == 1
         engine.disable_persistence()
 
-
-class TestReliabilityEngines:
-    """Checkpoint allowed (ledger audits); restore refused by design."""
-
-    def test_ledgers_snapshot_and_refused_restore(self, tmp_path):
-        from repro.network import ReliabilityPolicy
-
-        engine = make_engine(reliability=ReliabilityPolicy(seed=5))
-        serve(engine, range(0, USERS, 6))
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (USERS, Point(0.5, 0.5)),
+            (-1, Point(0.5, 0.5)),
+            (3, Point(float("nan"), 0.5)),
+            (3, Point(0.5, float("inf"))),
+        ],
+        ids=["id-n", "id-minus-1", "nan-x", "inf-y"],
+    )
+    def test_invalid_batch_never_reaches_the_journal(self, tmp_path, bad):
+        """A bad id or coordinate is refused before the journal or any
+        live structure sees the batch, so restore keeps working."""
+        engine = make_engine()
+        reference = make_engine()
         store = PersistentStore(tmp_path / "store")
         engine.enable_persistence(store)
+        hosts = list(range(0, USERS, 5))
+        assert serve(engine, hosts) == serve(reference, hosts)
         engine.checkpoint()
-        _, meta = store.require_latest_snapshot()
-        assert meta["engine"]["reliability"] is True
-        ledgers = meta["ledgers"]
-        assert ledgers["format"] == "device-ledgers-v1"
-        exported = export_ledgers(engine.devices)
-        assert ledgers == exported
-        with pytest.raises(PersistError, match="reliability"):
-            CloakingEngine.restore(store)
+        batch = [(1, Point(0.5, 0.5))]
+        engine.apply_moves(batch)
+        reference.apply_moves(batch)
+        with pytest.raises(ConfigurationError):
+            engine.apply_moves([(2, Point(0.1, 0.1)), bad])
+        assert len(store.journal.records()) == 1
+        assert_engines_equal(engine, reference)
         engine.disable_persistence()
+        restored = CloakingEngine.restore(PersistentStore(tmp_path / "store"))
+        assert_engines_equal(restored, reference)
+        assert serve(restored, hosts) == serve(reference, hosts)
+        restored.disable_persistence()
+
+
+class TestReliabilityEngines:
+    """Disclosure ledgers live on the message-level session's devices."""
 
     def test_ledger_roundtrip_restores_disclosures(self):
-        from repro.network import ReliabilityPolicy
+        from repro.cloaking.p2p_engine import P2PCloakingSession
+        from repro.network import PeerNetwork, ReliabilityPolicy, populate_network
 
-        engine = make_engine(reliability=ReliabilityPolicy(seed=5))
-        serve(engine, range(0, USERS, 6))
-        exported = export_ledgers(engine.devices)
-        twin = make_engine(reliability=ReliabilityPolicy(seed=5))
-        import_ledgers(twin.devices, exported)
-        assert export_ledgers(twin.devices) == exported
+        def reliable_session():
+            dataset, graph = _fresh_parts()
+            network = PeerNetwork()
+            devices = populate_network(network, graph, list(dataset.points))
+            session = P2PCloakingSession(
+                network, graph, dataset, CONFIG,
+                reliability=ReliabilityPolicy(seed=5),
+            )
+            return session, devices
+
+        session, devices = reliable_session()
+        for host in range(0, USERS, 6):
+            try:
+                session.request(host)
+            except ClusteringError:
+                pass
+        exported = export_ledgers(devices)
+        assert any(entry["verify"] for entry in exported["devices"].values())
+        _twin, twin_devices = reliable_session()
+        import_ledgers(twin_devices, exported)
+        assert export_ledgers(twin_devices) == exported

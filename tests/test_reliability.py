@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cloaking.engine import CloakingEngine
 from repro.cloaking.p2p_engine import P2PCloakingSession
 from repro.config import SimulationConfig
 from repro.datasets import uniform_points
@@ -262,14 +261,14 @@ class TestMetamorphic:
     def test_disabled_policy_is_bit_identical_to_seed_engine(self, world):
         ds, graph = world
         config = SimulationConfig(k=5)
-        seed_engine = CloakingEngine(ds, graph, config, policy="secure")
-        off_engine = CloakingEngine(
-            ds, graph, config, policy="secure",
-            reliability=ReliabilityPolicy.off(),
+        seed = P2PCloakingSession.bootstrapped(ds, graph, config)
+        off = P2PCloakingSession.bootstrapped(
+            ds, graph, config, reliability=ReliabilityPolicy.off()
         )
+        assert off.transport is None
         for host in (3, 17, 42, 101):
-            a = seed_engine.request(host)
-            b = off_engine.request(host)
+            a = seed.request(host)
+            b = off.request(host)
             assert a.cluster.members == b.cluster.members
             assert a.region.rect == b.region.rect  # exact float equality
             assert a.bounding_messages == b.bounding_messages
@@ -318,58 +317,31 @@ class TestMetamorphic:
 
 
 class TestEngineWiring:
-    def test_failure_plan_without_reliability_rejected(self, world):
-        ds, graph = world
-        with pytest.raises(ConfigurationError, match="failure_plan"):
-            CloakingEngine(
-                ds, graph, SimulationConfig(k=5),
-                failure_plan=FailurePlan(drop_probability=0.1),
-            )
-
-    def test_reliability_requires_distributed_progressive(self, world):
-        ds, graph = world
-        config = SimulationConfig(k=5)
-        with pytest.raises(ConfigurationError):
-            CloakingEngine(
-                ds, graph, config, mode="centralized",
-                reliability=ReliabilityPolicy(),
-            )
-        with pytest.raises(ConfigurationError):
-            CloakingEngine(
-                ds, graph, config, policy="optimal",
-                reliability=ReliabilityPolicy(),
-            )
-        with pytest.raises(ConfigurationError):
-            CloakingEngine(
-                ds, graph, config, min_area=0.01,
-                reliability=ReliabilityPolicy(),
-            )
+    """The message-level session takes the policy and the failure plan."""
 
     def test_reliable_engine_serves_and_caches(self, world):
         ds, graph = world
         config = SimulationConfig(k=5)
-        engine = CloakingEngine(
+        session = P2PCloakingSession.bootstrapped(
             ds, graph, config,
+            network=PeerNetwork(FailurePlan(drop_probability=0.05, seed=2)),
             reliability=ReliabilityPolicy(seed=2),
-            failure_plan=FailurePlan(drop_probability=0.05, seed=2),
         )
-        first = engine.request(3)
+        first = session.request(3)
         assert first.region.satisfies(config.k)
         member = next(iter(first.cluster.members - {3}))
-        again = engine.request(member)
+        again = session.request(member)
         assert again.region_from_cache
         assert again.region.rect == first.region.rect
-        assert engine.regions_cached == 1
-        batch = engine.request_many([3, member])
-        assert all(r.region_from_cache for r in batch)
+        assert len(session.regions) == 1
 
     def test_below_k_aborts_cleanly_with_empty_registry(self, world):
         ds, graph = world
         config = SimulationConfig(k=301)  # unsatisfiable over 300 users
-        engine = CloakingEngine(
+        session = P2PCloakingSession.bootstrapped(
             ds, graph, config, reliability=ReliabilityPolicy(seed=2)
         )
         with pytest.raises(ProtocolAbort) as aborted:
-            engine.request(3)
+            session.request(3)
         assert aborted.value.reason in ABORT_REASONS
-        assert engine.clustering.registry.assigned_count == 0
+        assert session.registry.assigned_count == 0

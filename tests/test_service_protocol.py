@@ -254,3 +254,43 @@ def test_frontend_propagates_typed_service_errors():
             reply = _rpc(sock, {"op": "request", "host": 10_000, "id": 1})
             assert reply["status"] == "error"
             assert reply["error"]["type"] == "ServiceError"
+
+
+def test_invalid_churn_frame_is_typed_and_no_worker_dies():
+    spec = ServiceSpec.synthetic(
+        users=120, seed=9, kind="uniform", delta=0.08, k=3, shards=2
+    )
+    hosts = list(range(0, 120, 7))
+    with CloakingService(spec) as service, BackgroundFrontend(service) as addr:
+        with socket.create_connection(addr) as sock:
+            before = _rpc(sock, {"op": "request_many", "hosts": hosts, "id": 0})
+            assert before["status"] == "ok"
+            for frame_id, moves in enumerate(
+                (
+                    [[-1, 0.5, 0.5]],
+                    [[120, 0.5, 0.5]],
+                    [[3, float("nan"), 0.5]],
+                    [[3, 0.5]],
+                    [["x", 0.5, 0.5]],
+                    [[1.7, 0.5, 0.5]],
+                ),
+                start=1,
+            ):
+                reply = _rpc(sock, {"op": "churn", "moves": moves, "id": frame_id})
+                assert reply["status"] == "error", moves
+                assert reply["error"]["type"] == "ConfigurationError", moves
+            # No replica saw the bad batches: both workers still answer,
+            # from cache, with exactly the regions they formed before.
+            after = _rpc(sock, {"op": "request_many", "hosts": hosts, "id": 8})
+            assert after["status"] == "ok"
+            served = [o for o in after["outcomes"] if o["ok"]]
+            assert served and all(o["region_from_cache"] for o in served)
+            assert [
+                (o["ok"], o.get("members"), o.get("rect"))
+                for o in after["outcomes"]
+            ] == [
+                (o["ok"], o.get("members"), o.get("rect"))
+                for o in before["outcomes"]
+            ]
+            reply = _rpc(sock, {"op": "churn", "moves": [[3, 0.5, 0.5]], "id": 9})
+            assert reply["status"] == "ok"

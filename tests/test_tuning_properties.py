@@ -240,22 +240,3 @@ class TestPolicyValidation:
             TuningPolicy(density_pivot=-1.0)
         with pytest.raises(ConfigurationError):
             TuningPolicy.from_meta({"share_regions": True, "nope": 1})
-
-    def test_reliability_engine_refuses_tuning(self):
-        from repro.network.reliability import ReliabilityPolicy
-        from repro.verify.worlds import World
-
-        built = build_world(
-            World(seed=3, n=16, k=3, delta=0.2, mode="distributed")
-        )
-        # Engines with a reliability policy pin per-device protocol
-        # state; the tuning loop is defined over the oblivious engine.
-        with pytest.raises(ConfigurationError):
-            CloakingEngine(
-                MutablePointDataset.from_dataset(built.dataset),
-                built.graph.copy(),
-                built.config,
-                mode="distributed",
-                reliability=ReliabilityPolicy(),
-                tuning=TuningPolicy(share_regions=True),
-            )
