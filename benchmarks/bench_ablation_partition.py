@@ -2,8 +2,8 @@
 
 Two design decisions DESIGN.md calls out:
 
-* the dendrogram cut vs the naive literal edge-removal translation
-  (identical output, asymptotically cheaper);
+* the cluster-tree (dendrogram) cut vs the naive literal edge-removal
+  translation (identical output, asymptotically cheaper);
 * strict t-component semantics vs the greedy edge-skip fixpoint (the
   straggler effect: strict freezes large components, greedy carves them
   into near-k clusters — the behaviour the paper's measurements need).

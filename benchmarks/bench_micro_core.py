@@ -2,8 +2,8 @@
 
 Unlike the figure benchmarks (one-shot macro experiments), these measure
 the steady-state cost of the operations a deployment performs per
-request: WPG construction, dendrogram building, a distributed clustering
-request, and a secure bounding run.
+request: WPG construction, cluster-tree (dendrogram) building, a
+distributed clustering request, and a secure bounding run.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from repro.config import SimulationConfig
 from repro.datasets import california_like_poi
 from repro.experiments.workloads import sample_hosts
 from repro.graph.build import build_wpg
-from repro.graph.dendrogram import single_linkage_dendrogram
+from repro.graph.cluster_tree import ClusterTree
 
 USERS = 6000
 DELTA = 2e-3 * (104770 / USERS) ** 0.5
@@ -39,10 +39,8 @@ def test_wpg_build(benchmark, dataset):
 
 
 def test_dendrogram_build(benchmark, graph):
-    roots = benchmark.pedantic(
-        single_linkage_dendrogram, args=(graph,), rounds=3, iterations=1
-    )
-    assert sum(root.size for root in roots) == USERS
+    tree = benchmark.pedantic(ClusterTree, args=(graph,), rounds=3, iterations=1)
+    assert tree.vertex_count == USERS
 
 
 def test_distributed_request(benchmark, graph):

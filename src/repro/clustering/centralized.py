@@ -20,8 +20,11 @@ DESIGN.md, "Partition semantics of Algorithm 1"):
     and reproduces the paper's measured cluster sizes.
 
 Both have a naive implementation (literal graph surgery, quadratic-ish)
-and a fast implementation (dendrogram cut, plus local refinement for
-greedy).  Naive and fast are cross-validated by the test suite.
+and one fast implementation: the cut of a
+:class:`~repro.graph.cluster_tree.ClusterTree`, plus its forest
+refinement for greedy.  Naive and fast are cross-validated by the test
+suite: the same groups, and within every strict piece the same greedy
+groups in the same order.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from typing import Iterable, Literal, Optional
 
 from repro.errors import ConfigurationError
 from repro.clustering.base import Partition
+from repro.graph.cluster_tree import ClusterTree
 from repro.graph.components import connected_components
-from repro.graph.dendrogram import cut_smallest_valid, single_linkage_dendrogram
 from repro.graph.wpg import Edge, WeightedProximityGraph
 
 Method = Literal["strict", "greedy"]
@@ -51,21 +54,22 @@ def centralized_k_clustering(
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
-    target = graph if vertices is None else graph.subgraph(vertices)
-    if method == "strict":
+    if method not in ("strict", "greedy"):
+        raise ConfigurationError(f"unknown method {method!r}")
+    if naive:
+        target = graph if vertices is None else graph.subgraph(vertices)
         groups = (
             _strict_partition_naive(target, k)
-            if naive
-            else _strict_partition_dendrogram(target, k)
-        )
-    elif method == "greedy":
-        groups = (
-            _greedy_partition_naive(target, k)
-            if naive
-            else _greedy_partition_fast(target, k)
+            if method == "strict"
+            else _greedy_partition_naive(target, k)
         )
     else:
-        raise ConfigurationError(f"unknown method {method!r}")
+        tree = ClusterTree(graph, vertices)
+        groups = (
+            tree.strict_partition(k)
+            if method == "strict"
+            else tree.greedy_partition(k)
+        )
     partition = Partition(k=k)
     for group in groups:
         (partition.clusters if len(group) >= k else partition.invalid).append(group)
@@ -87,12 +91,6 @@ def greedy_partition(
 
 
 # -- strict semantics ---------------------------------------------------------
-
-
-def _strict_partition_dendrogram(
-    graph: WeightedProximityGraph, k: int
-) -> list[set[int]]:
-    return cut_smallest_valid(single_linkage_dendrogram(graph), k)
 
 
 def _strict_partition_naive(graph: WeightedProximityGraph, k: int) -> list[set[int]]:
@@ -143,24 +141,7 @@ def _greedy_partition_naive(graph: WeightedProximityGraph, k: int) -> list[set[i
     return result
 
 
-def _greedy_partition_fast(graph: WeightedProximityGraph, k: int) -> list[set[int]]:
-    """Strict dendrogram cut first, then greedy refinement of each cluster.
-
-    Every strict split is also accepted by greedy (each intermediate
-    binary disconnection separates unions of valid t-components, so both
-    sides have >= k vertices); refinement therefore only has to work
-    inside the usually-small strict clusters.
-    """
-    result: list[set[int]] = []
-    for cluster in _strict_partition_dendrogram(graph, k):
-        if len(cluster) < 2 * k:
-            result.append(cluster)
-        else:
-            result.extend(_greedy_refine(graph.subgraph(cluster), k))
-    return result
-
-
-def _greedy_refine(sub: WeightedProximityGraph, k: int) -> list[set[int]]:
+def _greedy_refine_naive(sub: WeightedProximityGraph, k: int) -> list[set[int]]:
     """Greedy fixpoint passes over one connected cluster (mutates ``sub``).
 
     Each pass walks the remaining edges in descending (weight, key) order;
@@ -168,101 +149,11 @@ def _greedy_refine(sub: WeightedProximityGraph, k: int) -> list[set[int]]:
     sides hold >= k vertices (the split is then final and both sides are
     processed independently).  Passes repeat while any edge was removed:
     an earlier-skipped bridge can become validly removable after a sibling
-    split shrinks its side.
-
-    This is the fast form: each component carries its edge list as plain
-    ``(weight, u, v)`` tuples sorted once in removal order, and a split
-    partitions the list between the two sides (an accepted split never
-    leaves a cross edge, so the partition is exact and order-preserving).
-    Re-enumerating and re-sorting the component's edges every pass — the
-    literal reading kept in :func:`_greedy_refine_naive` — dominates the
-    runtime on large components; the test suite cross-validates that both
-    forms remove exactly the same edges and return the same clusters in
-    the same order.
-    """
-    result: list[set[int]] = []
-    work: list[tuple[set[int], list[tuple[float, int, int]]]] = [
-        (component, _removal_order_edges(sub, component))
-        for component in connected_components(sub)
-    ]
-    while work:
-        component, edges = work.pop()
-        if len(component) < 2 * k:
-            result.append(component)
-            continue
-        split = _greedy_pass_until_fixpoint(sub, component, edges, k)
-        if split is None:
-            result.append(component)
-        else:
-            work.extend(split)
-    return result
-
-
-def _removal_order_edges(
-    sub: WeightedProximityGraph, component: set[int]
-) -> list[tuple[float, int, int]]:
-    """``component``'s live edges as (weight, u, v) with u < v, sorted by
-    descending weight with the (u, v) key as tie-break — the greedy
-    removal order."""
-    edges = [
-        (w, u, v)
-        for u in component
-        for v, w in sub.neighbor_weights(u)
-        if u < v
-    ]
-    edges.sort(key=lambda e: (-e[0], e[1], e[2]))
-    return edges
-
-
-def _greedy_pass_until_fixpoint(
-    sub: WeightedProximityGraph,
-    component: set[int],
-    edges: list[tuple[float, int, int]],
-    k: int,
-) -> Optional[list[tuple[set[int], list[tuple[float, int, int]]]]]:
-    """Run descending removal passes on ``component`` until a split or fixpoint.
-
-    ``edges`` must be exactly the component's live edges in removal order
-    (see :func:`_removal_order_edges`).  Returns the two sides of the
-    first accepted split, each paired with its share of the remaining
-    edge list (caller recurses), or None when no further removal is
-    possible.  Non-disconnecting removals mutate ``sub`` permanently —
-    they only ever shrink future work.
-    """
-    while True:
-        removed_any = False
-        kept: list[tuple[float, int, int]] = []
-        for index, edge in enumerate(edges):
-            weight, u, v = edge
-            sub.remove_edge(u, v)
-            side = _side_of(sub, u, v, component)
-            if side is None:
-                removed_any = True  # still connected; removal stands
-                continue
-            other = component - side
-            if len(side) >= k and len(other) >= k:
-                # A filtered subsequence of a sorted list stays sorted, so
-                # neither side ever needs re-sorting.
-                remaining = kept + edges[index + 1 :]
-                return [
-                    (side, [e for e in remaining if e[1] in side]),
-                    (other, [e for e in remaining if e[1] not in side]),
-                ]
-            sub.add_edge(u, v, weight)  # invalid split: skip
-            kept.append(edge)
-        if not removed_any:
-            return None
-        edges = kept
-
-
-def _greedy_refine_naive(sub: WeightedProximityGraph, k: int) -> list[set[int]]:
-    """The literal pass semantics of :func:`_greedy_refine` (reference form).
-
-    Re-enumerates and re-sorts the component's current edges at the start
-    of every pass, exactly as the prose of the algorithm reads.  Kept as
-    the differential reference for the fast form (and as the engine of
-    the ``naive`` greedy path): both must remove the same edges and
-    produce the same clusters in the same order.
+    split shrinks its side.  Re-enumerates and re-sorts the component's
+    current edges at the start of every pass, exactly as the prose of the
+    algorithm reads — the differential reference for the cluster tree's
+    forest refinement, which must produce the same clusters in the same
+    order.
     """
     result: list[set[int]] = []
     work: list[set[int]] = connected_components(sub)

@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from repro.graph.dendrogram import (
-    single_linkage_dendrogram,
-    smallest_valid_component,
-)
+from repro.graph.cluster_tree import ClusterTree
 from repro.graph.wpg import WeightedProximityGraph
 
 #: A clustering rule: (graph, vertex, k) -> cluster or None when impossible.
@@ -31,12 +28,14 @@ def smallest_valid_cluster_rule(
 ) -> Optional[set[int]]:
     """The paper's canonical rule: smallest valid t-connectivity cluster.
 
-    Computed via the dendrogram: the lowest t-component containing
+    Computed via the cluster tree: the lowest t-component containing
     ``vertex`` with size >= k, or None when the vertex's whole component
-    is too small.
+    is too small (or ``vertex`` is not in ``graph``).
     """
-    roots = single_linkage_dendrogram(graph)
-    return smallest_valid_component(roots, vertex, k)
+    if vertex not in graph:
+        return None
+    found = ClusterTree(graph).smallest_valid_cluster(vertex, k)
+    return None if found is None else set(found[0])
 
 
 def isolation_counterexample(

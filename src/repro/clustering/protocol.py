@@ -247,9 +247,9 @@ class _MaterializingView:
 
     Traversals only need ``neighbor_weights``/``neighbors``/``__contains__``,
     which route through the remote view (and therefore the network).  The
-    final ``subgraph`` call — Algorithm 2's step 3, running on data the
-    host has already gathered — is served from the fetch cache via the
-    underlying graph, costing no additional messages.
+    final edge read — Algorithm 2's step 3, running on data the host has
+    already gathered — is served from the fetch cache via the underlying
+    graph, costing no additional messages.
 
     ``evicted`` peers are filtered from every read: an evicted peer is
     invisible to the traversal, exactly as if its radio went silent.
@@ -297,6 +297,10 @@ class _MaterializingView:
     def subgraph(self, vertices):
         """The induced subgraph on ``vertices``."""
         return self._graph.subgraph(vertices)
+
+    def weighted_edges(self, vertices=None):
+        """The gathered subgraph's edges as ``(weight, u, v)`` tuples."""
+        return self._graph.weighted_edges(vertices)
 
     @property
     def vertex_count(self) -> int:

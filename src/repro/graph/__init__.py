@@ -4,7 +4,6 @@ from repro.graph.wpg import Edge, WeightedProximityGraph
 from repro.graph.build import build_wpg, build_wpg_fast
 from repro.graph.incremental import ChurnPatch, IncrementalWPG
 from repro.graph.unionfind import UnionFind
-from repro.graph.dendrogram import DendrogramNode, single_linkage_dendrogram
 from repro.graph.components import (
     connected_component,
     connected_components,
@@ -13,7 +12,6 @@ from repro.graph.components import (
     t_connected,
     t_component,
 )
-from repro.graph.dendrogram import cut_smallest_valid
 from repro.graph.io import (
     graph_from_arrays,
     graph_to_arrays,
@@ -29,7 +27,6 @@ from repro.graph.metrics import (
 
 __all__ = [
     "ChurnPatch",
-    "DendrogramNode",
     "Edge",
     "IncrementalWPG",
     "UnionFind",
@@ -39,7 +36,6 @@ __all__ = [
     "build_wpg_fast",
     "connected_component",
     "connected_components",
-    "cut_smallest_valid",
     "external_border",
     "graph_diameter",
     "graph_from_arrays",
@@ -49,7 +45,6 @@ __all__ = [
     "max_edge_weight",
     "regular_graph_diameter_bound",
     "save_wpg",
-    "single_linkage_dendrogram",
     "t_component",
     "t_connected",
 ]

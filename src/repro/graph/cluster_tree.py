@@ -1,10 +1,31 @@
-"""Persistent bottleneck cluster tree over the WPG.
+"""Persistent bottleneck cluster tree over the WPG: Algorithm 1, fast form.
 
-The single-linkage dendrogram (:mod:`repro.graph.dendrogram`) answers
-every t-connectivity question Algorithms 1/2 ask — but as built it is a
-throwaway object: pointer-chasing nodes without parent links, traversed
-from the root for every query and rebuilt from scratch per request.
-:class:`ClusterTree` is the persistent, query-oriented form:
+Algorithm 1 removes edges from a connected component in descending weight
+order "until this cluster is no longer connected and is thus partitioned
+into some smaller connected components".  Under Definition 4.1 the
+resulting pieces must be *t-connectivity clusters*, i.e. connected
+components of the subgraph keeping only edges of weight <= t — so a
+partition step lowers the connectivity threshold t to the next smaller
+edge weight present in the component and removes the whole weight class.
+(Removing strictly one edge at a time could strand a piece that is not a
+t-component for any t, breaking the equivalence-class structure that
+Theorems 4.1/4.3 rely on.)
+
+Decreasing t through the distinct weight levels of the graph traces out
+a single-linkage dendrogram: each node is a t-component at some level,
+its children the components it splits into at the next level down.
+Nodes merge *multi-way*: all components joined by edges of one weight
+level become children of a single node, so one tree level is one weight
+class.  One ascending Kruskal scan over the sorted edges builds it
+(:func:`_kruskal_scan`), and Algorithm 1 becomes a top-down cut.  The
+literal translation in :mod:`repro.clustering.centralized` removes
+descending weight classes from an explicit graph copy; the test suite
+verifies it computes exactly the same partitions.
+
+:class:`ClusterTree` is that dendrogram as a persistent, query-oriented
+object — the one fast Algorithm 1 of the package, whether over the whole
+WPG (the tree clustering service, ``centralized_k_clustering``) or over a
+gathered vertex subset (Algorithm 2's step 3):
 
 * one array-backed tree per connected component (parent/weight/size per
   node, children in visit order, leaves as a contiguous slice of a
@@ -50,11 +71,11 @@ component id disappears), never silently reused.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.errors import ConfigurationError, GraphError
-from repro.graph.dendrogram import DendrogramNode, single_linkage_dendrogram
-from repro.graph.unionfind import UnionFind
 from repro.graph.wpg import WeightedProximityGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -63,12 +84,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: A node handle: (component id, node index within that component's tree).
 NodeRef = tuple[int, int]
 
+#: Forest adjacency: vertex -> [(neighbor, weight)] over forest edges.
+ForestAdjacency = dict[int, list[tuple[int, float]]]
+
 
 def _is_cut(
     x: int, y: int, parent: dict[int, int], tops: set[int]
 ) -> bool:
     """Whether tree edge (x, y) has been cut (its child endpoint is a top)."""
     return (parent[y] == x and y in tops) or (parent[x] == y and x in tops)
+
+
+def _find(rep: dict[int, int], x: int) -> int:
+    """Union-find root of ``x`` (path halving)."""
+    while rep[x] != x:
+        rep[x] = rep[rep[x]]
+        x = rep[x]
+    return x
 
 
 class _ComponentTree:
@@ -90,45 +122,44 @@ class _ComponentTree:
         "leaf_order",
         "leaf_node",
         "marked_below",
-        "cut_memo",
         "anc_ok_memo",
         "partition_memo",
         "refine_memo",
     )
 
-    def __init__(self, root: DendrogramNode) -> None:
-        self.parent: list[int] = []
-        self.weight: list[float] = []
-        self.size: list[int] = []
-        self.children: list[list[int]] = []
-        self.leaf_lo: list[int] = []
-        self.leaf_hi: list[int] = []
-        self.leaf_order: list[int] = []
-        self.leaf_node: dict[int, int] = {}
-        stack: list[tuple[DendrogramNode, int]] = [(root, -1)]
-        while stack:
-            dnode, par = stack.pop()
-            index = len(self.parent)
-            self.parent.append(par)
-            self.weight.append(dnode.merge_weight)
-            self.size.append(dnode.size)
-            # Preorder: every leaf preceding this subtree is already
-            # emitted, and the subtree will emit exactly ``size`` more.
-            lo = len(self.leaf_order)
-            self.leaf_lo.append(lo)
-            self.leaf_hi.append(lo + dnode.size)
-            self.children.append([])
+    def __init__(
+        self,
+        parent: list[int],
+        weight: list[float],
+        size: list[int],
+        leaf_lo: list[int],
+        leaf_order: list[int],
+    ) -> None:
+        """Adopt the five primary preorder columns; derive the rest.
+
+        Children are the nodes naming ``i`` as parent in ascending index
+        (preorder visits siblings in child order), ``leaf_hi = leaf_lo +
+        size``, and the j-th childless node in preorder owns
+        ``leaf_order[j]`` (leaves are emitted in preorder).  Memos start
+        empty — they are caches — and marked counters at zero.
+        """
+        self.parent = parent
+        self.weight = weight
+        self.size = size
+        self.leaf_lo = leaf_lo
+        self.leaf_hi = [lo + sz for lo, sz in zip(leaf_lo, size)]
+        self.leaf_order = leaf_order
+        self.children: list[list[int]] = [[] for _ in parent]
+        for index, par in enumerate(parent):
             if par >= 0:
                 self.children[par].append(index)
-            if dnode.vertex is not None:
-                self.leaf_order.append(dnode.vertex)
-                self.leaf_node[dnode.vertex] = index
-            else:
-                for child in reversed(dnode.children):
-                    stack.append((child, index))
-        self.marked_below: list[int] = [0] * len(self.parent)
-        #: k -> node indices of the strict Algorithm 1 cut.
-        self.cut_memo: dict[int, list[int]] = {}
+        self.leaf_node: dict[int, int] = {}
+        position = 0
+        for index, kids in enumerate(self.children):
+            if not kids:
+                self.leaf_node[leaf_order[position]] = index
+                position += 1
+        self.marked_below: list[int] = [0] * len(parent)
         #: k -> per-node "every ancestor's off-path siblings are >= k".
         self.anc_ok_memo: dict[int, list[bool]] = {}
         #: (node, k, method) -> step-3 partition clusters, in order.
@@ -140,67 +171,18 @@ class _ComponentTree:
         #: so this memo dedupes across overlapping node partitions.
         self.refine_memo: dict[tuple[int, int], tuple[frozenset[int], ...]] = {}
 
-    @classmethod
-    def _from_arrays(
-        cls,
-        parent: list[int],
-        weight: list[float],
-        size: list[int],
-        leaf_lo: list[int],
-        leaf_order: list[int],
-    ) -> "_ComponentTree":
-        """Rebuild a component tree from its persisted preorder arrays.
-
-        Only the five stored columns are primary; everything else is
-        re-derived from the preorder layout: children are the nodes
-        naming ``i`` as parent in ascending index (the append order of
-        ``__init__``), ``leaf_hi = leaf_lo + size``, and the j-th
-        childless node in preorder owns ``leaf_order[j]`` (leaves are
-        emitted in preorder).  Memos start empty — they are caches — and
-        marked counters start at zero for the caller to re-derive.
-        """
-        tree = cls.__new__(cls)
-        tree.parent = list(parent)
-        tree.weight = list(weight)
-        tree.size = list(size)
-        tree.leaf_lo = list(leaf_lo)
-        tree.leaf_hi = [lo + sz for lo, sz in zip(leaf_lo, size)]
-        tree.leaf_order = list(leaf_order)
-        tree.children = [[] for _ in tree.parent]
-        for index, par in enumerate(tree.parent):
-            if par >= 0:
-                tree.children[par].append(index)
-        tree.leaf_node = {}
-        position = 0
-        for index, kids in enumerate(tree.children):
-            if not kids:
-                tree.leaf_node[tree.leaf_order[position]] = index
-                position += 1
-        tree.marked_below = [0] * len(tree.parent)
-        tree.cut_memo = {}
-        tree.anc_ok_memo = {}
-        tree.partition_memo = {}
-        tree.refine_memo = {}
-        return tree
-
     def leaves(self, index: int) -> list[int]:
         return self.leaf_order[self.leaf_lo[index] : self.leaf_hi[index]]
-
-    def strict_cut(self, k: int) -> list[int]:
-        """Node indices of the strict partition (memoized per k)."""
-        memo = self.cut_memo.get(k)
-        if memo is not None:
-            return memo
-        cut = self.strict_cut_below(0, k)
-        self.cut_memo[k] = cut
-        return cut
 
     def strict_cut_below(self, index: int, k: int) -> list[int]:
         """Strict-cut node indices of the subtree rooted at ``index``.
 
-        The same stack mechanics — and therefore the same output order —
-        as :func:`repro.graph.dendrogram.cut_smallest_valid` applied to
-        the node's induced subgraph.
+        Algorithm 1's work stack: a node splits into its children iff
+        *every* child has at least ``k`` leaves ("a further partition
+        will lead to an invalid cluster" stops the recursion); the last
+        child pushed is cut first.  A root below ``k`` comes back whole —
+        an invalid cluster the caller must deal with (the paper's
+        disconnected-component caveat, Fig. 5).
         """
         cut: list[int] = []
         stack = [index]
@@ -237,57 +219,144 @@ class _ComponentTree:
         return ok
 
 
+def _kruskal_scan(
+    vertices: Iterable[int],
+    edges: list[tuple[float, int, int]],
+    with_trees: bool = True,
+) -> tuple[list[_ComponentTree], ForestAdjacency]:
+    """Algorithm 1's one sorted edge scan: component trees and forest.
+
+    ``edges`` — ``(weight, u, v)`` with ``u < v``, the subgraph induced
+    on ``vertices`` — is sorted once, ascending, and walked one weight
+    level at a time, each level's slice twice:
+
+    * forward (ascending ``(u, v)``), merging the level's components
+      multi-way: a join adopts a same-level node's children instead of
+      nesting it.  Trees come back untouched singletons first, in
+      ``vertices`` order, then in the order their roots last merged;
+    * in reverse (descending ``(u, v)``, the exact reverse of greedy
+      removal order: descending weight, ascending key), accepting each
+      edge that joins two sets into the constrained Kruskal forest.  An
+      edge is therefore in the forest iff no cycle through it survives
+      on edges strictly later in removal order, the certificate
+      :meth:`ClusterTree.node_partition` needs.  The forest never
+      crosses components, so a patch scope's slice is exact alone.
+
+    ``with_trees=False`` runs the forest walk only (a restored tree
+    brings its component trees along).
+    """
+    order = list(vertices)
+    forest: ForestAdjacency = {vertex: [] for vertex in order}
+    forest_rep = {vertex: vertex for vertex in order}
+    tree_rep = dict(forest_rep)
+    # Dendrogram nodes under construction; ids below len(order) are the
+    # leaves, in ``order``.  ``node_of`` maps a live union-find root to
+    # its component's node, in the order the roots were (re)inserted.
+    node_weight = [0.0] * len(order)
+    node_size = [1] * len(order)
+    node_children: list[list[int]] = [[] for _ in order]
+    node_of = {vertex: index for index, vertex in enumerate(order)}
+    edges.sort()
+    for weight, level_iter in groupby(edges, key=itemgetter(0)):
+        level = list(level_iter)
+        if with_trees:
+            fresh = len(node_size)  # ids >= fresh were made this level
+            for _, u, v in level:
+                ru, rv = _find(tree_rep, u), _find(tree_rep, v)
+                if ru == rv:
+                    continue
+                a, b = node_of.pop(ru), node_of.pop(rv)
+                size_a, size_b = node_size[a], node_size[b]
+                if a >= fresh:
+                    merged = a
+                else:
+                    merged = len(node_size)
+                    node_weight.append(weight)
+                    node_size.append(0)
+                    node_children.append([a])
+                node_children[merged].extend(
+                    node_children[b] if b >= fresh else (b,)
+                )
+                node_size[merged] = size_a + size_b
+                if size_a < size_b:
+                    ru, rv = rv, ru
+                tree_rep[rv] = ru
+                node_of[ru] = merged
+        for _, u, v in reversed(level):
+            ru, rv = _find(forest_rep, u), _find(forest_rep, v)
+            if ru != rv:
+                forest_rep[rv] = ru
+                forest[u].append((v, weight))
+                forest[v].append((u, weight))
+    if not with_trees:
+        return [], forest
+
+    trees: list[_ComponentTree] = []
+    for root in node_of.values():
+        parent: list[int] = []
+        weights: list[float] = []
+        sizes: list[int] = []
+        leaf_lo: list[int] = []
+        leaf_order: list[int] = []
+        stack = [(root, -1)]
+        while stack:
+            node, par = stack.pop()
+            index = len(parent)
+            parent.append(par)
+            weights.append(node_weight[node])
+            sizes.append(node_size[node])
+            leaf_lo.append(len(leaf_order))
+            kids = node_children[node]
+            if kids:
+                stack.extend((child, index) for child in reversed(kids))
+            else:
+                leaf_order.append(order[node])
+        trees.append(_ComponentTree(parent, weights, sizes, leaf_lo, leaf_order))
+    return trees, forest
+
+
 class ClusterTree:
     """Bottleneck cluster tree of ``graph`` (see module docstring).
 
     The tree keeps a reference to ``graph`` — the same live object the
-    engine patches in place under churn — and uses it only for the
-    memoized per-node partitions and for :meth:`apply_patch`'s closure
-    walk, never for per-vertex lookups.
+    engine patches in place under churn — and uses it only for
+    :meth:`apply_patch`'s closure walk and edge reads, never for
+    per-vertex lookups.
+
+    With ``vertices`` the tree covers only the subgraph induced on them
+    (unknown vertices raise :class:`GraphError`): the one-shot input of
+    Algorithm 2's step 3.  Such a tree answers every query but cannot
+    be patched — :meth:`apply_patch` walks the whole graph.
     """
 
-    def __init__(self, graph: WeightedProximityGraph) -> None:
+    def __init__(
+        self,
+        graph: WeightedProximityGraph,
+        vertices: Optional[Iterable[int]] = None,
+    ) -> None:
         self._graph = graph
         self._components: dict[int, _ComponentTree] = {}
         self._component_of: dict[int, int] = {}
         self._next_id = 0
         self._marked: set[int] = set()
-        self._forest_adj: dict[int, list[tuple[int, float]]] = {}
-        for root in single_linkage_dendrogram(graph):
-            self._adopt(_ComponentTree(root))
-        self._rebuild_forest(graph)
+        self._forest_adj: ForestAdjacency = {}
+        if vertices is None:
+            self._build(graph.vertices(), graph.weighted_edges())
+        else:
+            keep = set(vertices)
+            self._build(keep, graph.weighted_edges(keep))
 
-    def _adopt(self, tree: _ComponentTree) -> None:
-        comp_id = self._next_id
-        self._next_id += 1
-        self._components[comp_id] = tree
-        for vertex in tree.leaf_order:
-            self._component_of[vertex] = comp_id
-
-    def _rebuild_forest(self, scope_graph: WeightedProximityGraph) -> None:
-        """(Re)compute the constrained Kruskal forest over ``scope_graph``.
-
-        Edges are scanned ascending by weight with the *descending*
-        ``(u, v)`` key as tie-break — the exact reverse of the greedy
-        removal order (descending weight, ascending key) — and accepted
-        when they join two sets.  An edge is therefore in the forest iff
-        no cycle through it survives on edges strictly later in removal
-        order, which is the certificate :meth:`node_partition` needs.
-        The forest never crosses components, so rebuilding a patch scope
-        leaves every other component's entries exact.
-        """
-        for vertex in scope_graph.vertices():
-            self._forest_adj[vertex] = []
-        forest = UnionFind(scope_graph.vertices())
-        edges = sorted(
-            scope_graph.edges(),
-            key=lambda edge: (edge.weight, -edge.u, -edge.v),
-        )
-        for edge in edges:
-            if forest.find(edge.u) != forest.find(edge.v):
-                forest.union(edge.u, edge.v)
-                self._forest_adj[edge.u].append((edge.v, edge.weight))
-                self._forest_adj[edge.v].append((edge.u, edge.weight))
+    def _build(
+        self, vertices: Iterable[int], edges: list[tuple[float, int, int]]
+    ) -> None:
+        trees, forest = _kruskal_scan(vertices, edges)
+        for tree in trees:
+            comp_id = self._next_id
+            self._next_id += 1
+            self._components[comp_id] = tree
+            for vertex in tree.leaf_order:
+                self._component_of[vertex] = comp_id
+        self._forest_adj.update(forest)
 
     def _forest_refine(self, leaves: list[int], k: int) -> list[set[int]]:
         """Greedy refinement of a tree node's leaves over its forest slice.
@@ -296,7 +365,8 @@ class ClusterTree:
         than all edges inside it; the forest scan spans the node before
         touching any outgoing edge, and the restriction is a spanning
         tree of the leaves.  On a spanning tree every removal
-        disconnects, so ``_greedy_refine``'s pass-until-fixpoint
+        disconnects, so greedy Algorithm 1's pass-until-fixpoint (the
+        literal :func:`~repro.clustering.centralized._greedy_refine_naive`)
         collapses to: accept the first edge in removal order whose two
         sides both hold >= k vertices, recurse into the sides, and a
         component with no acceptable edge is final.
@@ -388,15 +458,14 @@ class ClusterTree:
             groups.setdefault(comp[vertex], set()).add(vertex)
         # Reverse merge: at each cut's turn all later cuts are merged,
         # so its two trees are exactly the split recursion's children.
-        forest = UnionFind(groups)
+        rep = {cid: cid for cid in groups}
         node_of: dict[int, object] = {cid: cid for cid in groups}
         for u, v in reversed(cuts):
-            side_u, side_v = forest.find(comp[u]), forest.find(comp[v])
-            node = (node_of.pop(side_u), node_of.pop(side_v))
-            forest.union(side_u, side_v)
-            node_of[forest.find(side_u)] = node
+            side_u, side_v = _find(rep, comp[u]), _find(rep, comp[v])
+            node_of[side_u] = (node_of.pop(side_u), node_of.pop(side_v))
+            rep[side_v] = side_u
         result: list[set[int]] = []
-        stack_nodes: list[object] = [node_of[forest.find(comp[root])]]
+        stack_nodes: list[object] = [node_of[_find(rep, comp[root])]]
         while stack_nodes:
             node = stack_nodes.pop()
             if isinstance(node, int):
@@ -518,31 +587,35 @@ class ClusterTree:
 
     def strict_partition(self, k: int) -> list[set[int]]:
         """The strict Algorithm 1 partition, by memoized tree cuts."""
-        result: list[set[int]] = []
-        for tree in self._components.values():
-            for index in tree.strict_cut(k):
-                result.append(set(tree.leaves(index)))
-        return result
+        return self._partition(k, "strict")
 
     def greedy_partition(self, k: int) -> list[set[int]]:
         """The greedy Algorithm 1 partition: strict cut + refinement.
 
-        Same clusters as ``centralized_k_clustering(graph, k, "greedy")``;
-        refinements are memoized per cut node, so repeated calls (and
+        Every strict split is also a greedy one (each binary
+        disconnection inside it separates unions of valid t-components),
+        so only the strict pieces of >= 2k users are refined, in place.
+        Refinements are memoized per cut node, so repeated calls (and
         per-request lazy resolutions) never re-run them.
         """
+        return self._partition(k, "greedy")
+
+    def _partition(self, k: int, method: str) -> list[set[int]]:
+        """Each component's :meth:`node_partition` at its root.
+
+        Components come last-adopted first, the order Algorithm 1's work
+        stack pops a fresh tree's roots in.  A component below ``k``
+        comes back whole: an invalid cluster the caller must deal with.
+        """
         result: list[set[int]] = []
-        for comp_id, tree in self._components.items():
-            for index in tree.strict_cut(k):
-                if tree.size[index] < 2 * k:
-                    result.append(set(tree.leaves(index)))
-                else:
-                    result.extend(
-                        set(group)
-                        for group in self.node_partition(
-                            (comp_id, index), k, "greedy"
-                        )
-                    )
+        for comp_id, tree in reversed(self._components.items()):
+            if tree.size[0] < k:
+                result.append(set(tree.leaf_order))
+            else:
+                result.extend(
+                    set(group)
+                    for group in self.node_partition((comp_id, 0), k, method)
+                )
         return result
 
     def node_partition(
@@ -672,12 +745,9 @@ class ClusterTree:
                     queue.append(neighbor)
         for comp_id in stale:
             del self._components[comp_id]
-        scope_graph = self._graph.subgraph(scope)
-        for root in single_linkage_dendrogram(scope_graph):
-            self._adopt(_ComponentTree(root))
-        # The Kruskal forest never crosses components, so the rebuilt
-        # scope's slice is recomputed in isolation too.
-        self._rebuild_forest(scope_graph)
+        # One scan re-derives the scope's trees and, since the Kruskal
+        # forest never crosses components, its forest slice too.
+        self._build(scope, self._graph.weighted_edges(scope))
         # Re-derive the marked counters of the rebuilt components.
         remark = self._marked & scope
         self._marked -= remark
@@ -691,9 +761,9 @@ class ClusterTree:
 
         Components are emitted in dict-iteration order with their
         original ids — both are observable (``strict_partition`` walks
-        components in insertion order; node handles embed ids), so a
-        restored tree must reproduce them exactly, not just the node
-        sets.  Per-component node columns are concatenated with a
+        components in reverse insertion order; node handles embed ids),
+        so a restored tree must reproduce them exactly, not just the
+        node sets.  Per-component node columns are concatenated with a
         ``node_indptr`` offset table; leaf columns concatenate too, with
         each component's leaf count recoverable as its root's size.
         """
@@ -744,7 +814,6 @@ class ClusterTree:
         tree._components = {}
         tree._component_of = {}
         tree._marked = set()
-        tree._forest_adj = {}
         comp_ids = [int(c) for c in state["comp_ids"]]
         indptr = [int(i) for i in state["node_indptr"]]
         if len(indptr) != len(comp_ids) + 1:
@@ -761,7 +830,7 @@ class ClusterTree:
         for position, comp_id in enumerate(comp_ids):
             lo, hi = indptr[position], indptr[position + 1]
             leaf_count = size[lo] if hi > lo else 0
-            component = _ComponentTree._from_arrays(
+            component = _ComponentTree(
                 parent[lo:hi],
                 weight[lo:hi],
                 size[lo:hi],
@@ -773,7 +842,9 @@ class ClusterTree:
             for vertex in component.leaf_order:
                 tree._component_of[vertex] = comp_id
         tree._next_id = int(state["next_id"][0])
-        tree._rebuild_forest(graph)
+        _trees, tree._forest_adj = _kruskal_scan(
+            graph.vertices(), graph.weighted_edges(), with_trees=False
+        )
         return tree
 
     # -- verification helpers --------------------------------------------------

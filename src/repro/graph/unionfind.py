@@ -11,8 +11,7 @@ class UnionFind:
     """A disjoint-set forest over arbitrary hashable elements.
 
     Elements are created lazily on first touch.  ``union`` returns whether
-    a merge actually happened, which the Kruskal-style dendrogram builder
-    uses to detect component merges.
+    a merge actually happened.
     """
 
     def __init__(self, elements: Iterable[Hashable] = ()) -> None:

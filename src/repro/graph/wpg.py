@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -212,6 +212,36 @@ class WeightedProximityGraph:
                 if u < v:
                     yield Edge(u, v, weight)
 
+    def weighted_edges(
+        self, vertices: Optional[Collection[int]] = None
+    ) -> list[tuple[float, int, int]]:
+        """Every edge once as a ``(weight, u, v)`` tuple with ``u < v``.
+
+        Covers the whole graph, or only the subgraph induced on
+        ``vertices`` (a set, for O(1) membership); an unknown vertex
+        raises :class:`GraphError`.  The cluster tree sorts this list
+        as-is: no :class:`Edge` boxing and no subgraph copy.
+        """
+        adjacency = self._adjacency
+        if vertices is None:
+            return [
+                (weight, u, v)
+                for u, neighbors in adjacency.items()
+                for v, weight in neighbors.items()
+                if u < v
+            ]
+        edges: list[tuple[float, int, int]] = []
+        for u in vertices:
+            neighbors = adjacency.get(u)
+            if neighbors is None:
+                raise GraphError(f"unknown vertex {u}")
+            edges.extend(
+                (weight, u, v)
+                for v, weight in neighbors.items()
+                if u < v and v in vertices
+            )
+        return edges
+
     def has_edge(self, u: int, v: int) -> bool:
         """True if the edge ``(u, v)`` exists."""
         return v in self._adjacency.get(u, {})
@@ -258,16 +288,12 @@ class WeightedProximityGraph:
     def subgraph(self, vertices: Iterable[int]) -> "WeightedProximityGraph":
         """The induced subgraph on ``vertices``."""
         keep = set(vertices)
-        unknown = keep - self._adjacency.keys()
-        if unknown:
-            raise GraphError(f"unknown vertices: {sorted(unknown)[:5]}")
+        edges = self.weighted_edges(keep)
         sub = WeightedProximityGraph()
         for vertex in keep:
             sub.add_vertex(vertex)
-        for u in keep:
-            for v, weight in self._adjacency[u].items():
-                if v in keep and u < v:
-                    sub.add_edge(u, v, weight)
+        for weight, u, v in edges:
+            sub.add_edge(u, v, weight)
         return sub
 
     def copy(self) -> "WeightedProximityGraph":

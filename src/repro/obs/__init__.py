@@ -47,9 +47,10 @@ from repro.obs.registry import (
     get_registry,
     inc,
     observe,
-    reset,
     set_gauge,
 )
+from repro.obs.registry import reset as _reset_metrics
+from repro.obs import spans as _spans
 from repro.obs.spans import SpanRecord, last_trace, recent_spans, reset_traces, span
 from repro.obs.trace import (
     FlightRecorder,
@@ -61,6 +62,19 @@ from repro.obs.trace import (
     request_scope,
     uninstall_recorder,
 )
+
+
+def reset() -> None:
+    """Start a fresh observation window.
+
+    Clears the active registry's metrics (when one is active) and, either
+    way, the recent-span ring — so a forked worker that inherited its
+    parent's spans starts clean.  Open spans and the trace context are
+    left alone; :func:`reset_traces` clears those too.
+    """
+    _reset_metrics()
+    _spans._recent.clear()
+
 
 __all__ = [
     "COUNT_BUCKETS",

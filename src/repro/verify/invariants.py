@@ -346,7 +346,7 @@ def _region_reciprocity(run: WorldRun) -> List[str]:
 
 @invariant("clustering-level-scan")
 def _clustering_level_scan(run: WorldRun) -> List[str]:
-    """Dendrogram rule == from-definition level scan, per requested host."""
+    """Cluster-tree rule == from-definition level scan, per requested host."""
     graph = run.built.graph
     k = run.built.config.k
     details: List[str] = []
@@ -356,7 +356,7 @@ def _clustering_level_scan(run: WorldRun) -> List[str]:
         scan_set = None if scan is None else set(scan[0])
         if rule != scan_set:
             details.append(
-                f"host {host}: dendrogram rule {rule and sorted(rule)} != "
+                f"host {host}: cluster-tree rule {rule and sorted(rule)} != "
                 f"level scan {scan_set and sorted(scan_set)}"
             )
     return details
@@ -713,11 +713,11 @@ def _tree_record_diffs(
 
 @invariant("cluster-tree-equal")
 def _cluster_tree_equal(run: WorldRun) -> List[str]:
-    """The persistent cluster tree is exactly the dendrogram/oracle math.
+    """The persistent cluster tree is exactly the from-definition math.
 
     Four layers, all on the same fuzzed world: (a) the tree's own
-    whole-graph strict and greedy cuts equal the direct
-    ``centralized_k_clustering`` runs; (b) every requested host's tree
+    whole-graph strict and greedy cuts equal the literal edge-removal
+    runs (``centralized_k_clustering(..., naive=True)``); (b) every requested host's tree
     ancestor walk equals the from-definition level-scan oracle, cluster
     and t both; (c) on small worlds, the tree's Property 4.1 isolation
     bits along each host's ancestor path match the exhaustive removal
@@ -732,7 +732,7 @@ def _cluster_tree_equal(run: WorldRun) -> List[str]:
     tree = ClusterTree(graph)
 
     for method in ("strict", "greedy"):
-        direct = centralized_k_clustering(graph, k, method=method)
+        direct = centralized_k_clustering(graph, k, method=method, naive=True)
         cut = (
             tree.strict_partition(k)
             if method == "strict"
@@ -743,7 +743,7 @@ def _cluster_tree_equal(run: WorldRun) -> List[str]:
         ):
             details.append(
                 f"whole-graph {method} partition differs between the tree "
-                "cut and the direct dendrogram path"
+                "cut and the literal edge-removal path"
             )
 
     for host in run.built.hosts:

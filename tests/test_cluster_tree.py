@@ -1,8 +1,8 @@
-"""The persistent bottleneck cluster tree vs the throwaway dendrogram math.
+"""The persistent bottleneck cluster tree vs its from-definition references.
 
 Every query the tree answers has an existing reference implementation —
-``centralized_k_clustering``, the level-scan oracles, the exhaustive
-isolation sweep — and each test here pins the tree to one of them, on
+the naive ``centralized_k_clustering``, the level-scan oracles, the
+exhaustive isolation sweep — and each test here pins the tree to one of them, on
 hand-checkable fixtures and on randomized graphs.  The churn tests drive
 :meth:`ClusterTree.apply_patch` with real :class:`IncrementalWPG` patches
 and compare node signatures against a from-scratch build.
@@ -114,7 +114,9 @@ def test_partitions_match_centralized_on_random_graphs():
             if k > n:
                 continue
             for method in ("strict", "greedy"):
-                direct = centralized_k_clustering(graph, k, method=method)
+                direct = centralized_k_clustering(
+                    graph, k, method=method, naive=True
+                )
                 assert canonical(
                     tree.strict_partition(k)
                     if method == "strict"

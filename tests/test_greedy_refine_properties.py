@@ -3,9 +3,9 @@
 ``_side_of`` / ``_expand`` (the bidirectional BFS the greedy refinement
 trusts for every bridge decision) are pinned to a naive single-source
 BFS over randomized graphs guaranteed to contain bridges (random
-spanning tree + extra chords).  The fast ``_greedy_refine`` — presorted
-per-component edge lists, partitioned on split — is pinned to the
-literal re-enumerating ``_greedy_refine_naive`` it replaced: same
+spanning tree + extra chords).  The fast greedy refinement — the cluster
+tree's single ordered scan over its constrained Kruskal forest — is
+pinned to the literal re-enumerating ``_greedy_refine_naive``: same
 clusters, same order.
 """
 
@@ -15,11 +15,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from repro.clustering.centralized import (
-    _greedy_refine,
-    _greedy_refine_naive,
-    _side_of,
-)
+from repro.clustering.centralized import _side_of, centralized_k_clustering
 from repro.graph.components import connected_components
 from repro.graph.wpg import WeightedProximityGraph
 
@@ -95,7 +91,11 @@ def test_fast_refine_equals_naive_refine(seed, n, density, k):
         for v in range(u + 1, n):
             if rng.random() < density:
                 graph.add_edge(u, v, float(rng.randint(1, 6)))
-    # Both refiners mutate their input; feed each its own copy.
-    fast = _greedy_refine(graph.copy(), k)
-    naive = _greedy_refine_naive(graph.copy(), k)
-    assert fast == naive
+    # Refinement runs inside each strict piece; on a piece the fast and
+    # the naive greedy passes make the same decisions in the same order.
+    for piece in centralized_k_clustering(graph, k, "strict").all_groups():
+        fast = centralized_k_clustering(graph, k, "greedy", vertices=piece)
+        naive = centralized_k_clustering(
+            graph, k, "greedy", vertices=piece, naive=True
+        )
+        assert (fast.clusters, fast.invalid) == (naive.clusters, naive.invalid)

@@ -110,7 +110,7 @@ class TestHarnessCache:
 
 class TestMaterializingView:
     def test_subgraph_served_locally(self):
-        """Step 3's subgraph call must not issue network traffic."""
+        """Step 3's subgraph and edge reads must not issue network traffic."""
         from repro.clustering.protocol import _MaterializingView
         from repro.datasets import uniform_points
         from repro.graph.build import build_wpg
@@ -127,5 +127,7 @@ class TestMaterializingView:
         )
         sent_before = net.stats.sent
         sub = view.subgraph([0, 1, 2])
+        edges = view.weighted_edges({0, 1, 2})
         assert net.stats.sent == sent_before
         assert sub.vertex_count == 3
+        assert sorted(edges) == sorted(sub.weighted_edges())

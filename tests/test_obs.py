@@ -94,6 +94,15 @@ class TestRegistry:
         obs.reset()
         assert metrics.counters == {}
 
+    def test_reset_clears_recent_spans_even_when_disabled(self, metrics):
+        with obs.span("a.span"):
+            pass
+        assert obs.recent_spans()
+        # A forked worker disables, then resets: nothing may survive.
+        obs.disable()
+        obs.reset()
+        assert obs.recent_spans() == []
+
     def test_histogram_bounds_must_ascend(self, metrics):
         with pytest.raises(ConfigurationError):
             metrics.histogram("bad.hist", bounds=(1.0, 1.0))

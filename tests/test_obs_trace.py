@@ -37,8 +37,13 @@ from repro.obs.trace import main as trace_main
 
 @pytest.fixture()
 def recorder():
-    """A fresh installed flight recorder; always uninstalled afterwards."""
+    """A fresh installed flight recorder; always uninstalled afterwards.
+
+    The recent-span ring is cleared too, so span exports see only this
+    test's spans whatever ran before it.
+    """
     trace.reset_trace_context()
+    obs.reset_traces()
     rec = trace.install_recorder(trace.FlightRecorder())
     yield rec
     trace.uninstall_recorder()
